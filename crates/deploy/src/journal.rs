@@ -1,25 +1,31 @@
 //! The deployment journal: the append-only record of a run, and the
 //! replayer that reconstructs the run's report from it — bit-for-bit.
 //!
+//! The journal is the run's one event stream. Every state change of a run
+//! is a typed [`JournalRecord`] (dispatch, failed attempt, completion, event
+//! landing, replan decision, debounce deferral), stamped with the exact
+//! clock and slot, and applied through one transition function: the live
 //! [`DeployRuntime::execute_journaled`](crate::DeployRuntime::execute_journaled)
-//! emits one typed [`JournalRecord`] per action taken (dispatch, failed
-//! attempt, completion, event landing, replan decision, debounce deferral),
-//! each stamped with the exact clock and slot. [`DeploymentJournal`] holds
-//! them in order and serializes to JSONL — one compact JSON object per line
-//! — via the vendored serde, so a journal survives a process boundary.
+//! builds each record from its decisions and applies it, [`replay`] applies
+//! the recorded ones. [`DeploymentJournal`] holds them in order and
+//! serializes to JSONL — one compact JSON object per line — via the
+//! vendored serde, so a journal survives a process boundary.
 //!
 //! [`replay`] consumes a journal plus the *seed* of the run (the original
-//! instance and initial plan) and re-executes the recorded actions through
-//! the same `RunState` machine and the same [`idd_core::ExactSum`] /
-//! [`idd_core::ObjectiveStepper`] arithmetic the live runtime used. The
-//! result is the identical [`DeploymentReport`], field by field, `f64`s
-//! compared by bit pattern — the property the `journal_replay` proptest
-//! wall pins across the serial-equivalence scenario grid. Replay is also a
-//! *verifier*: every redundant stamp in the journal (dispatch costs, attempt
-//! clocks, completion clocks, running realized cost) is recomputed and
+//! instance and initial plan) and rebuilds the identical
+//! [`DeploymentReport`], field by field, `f64`s compared by bit pattern —
+//! the property the `journal_replay` proptest wall pins across the
+//! serial-equivalence scenario grid. Replay is also a *verifier*: every
+//! redundant stamp in the journal (dispatch costs, attempt numbers and
+//! clocks, completion clocks and order, running realized cost, debounce
+//! clocks and the event each deferral waited for) is recomputed and
 //! cross-checked, so a truncated, reordered, or hand-edited journal
 //! surfaces as [`ReplayError::Diverged`] instead of a quietly different
 //! report.
+//!
+//! Runtime telemetry is a projection of the same records, so a past run can
+//! be profiled from its seed and journal alone: [`replay_traced`] re-emits
+//! the trace the live run emitted, event for event.
 //!
 //! What replay does *not* need is exactly what makes the journal a faithful
 //! record: no scenario (events are embedded verbatim, failure specs ride on
@@ -27,9 +33,11 @@
 //! policy knobs (debounce deferrals are recorded decisions, and slot
 //! assignment is explicit on every record).
 
-use crate::report::{DeploymentReport, ExecutedBuild, ReplanRecord};
-use crate::runtime::{DeployError, InFlight, RunState};
-use idd_core::{Deployment, JournalRecord, ObjectiveEvaluator, ProblemInstance};
+use crate::report::DeploymentReport;
+use crate::runtime::DeployError;
+use crate::state::RunState;
+use idd_core::{Deployment, JournalRecord, ProblemInstance};
+use idd_telemetry::Telemetry;
 
 /// An ordered, append-only record of one deployment run.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -135,272 +143,62 @@ impl From<DeployError> for ReplayError {
     }
 }
 
-fn diverged(msg: impl Into<String>) -> ReplayError {
-    ReplayError::Diverged(msg.into())
-}
-
-/// Exact bit-pattern equality check for a recorded `f64` stamp.
-fn check_bits(what: &str, recorded: f64, derived: f64) -> Result<(), ReplayError> {
-    if recorded.to_bits() != derived.to_bits() {
-        return Err(diverged(format!(
-            "{what}: journal says {recorded}, replay derives {derived}"
-        )));
-    }
-    Ok(())
-}
-
 /// Reconstructs the [`DeploymentReport`] of the run that produced `journal`,
 /// given the run's seed: the original instance and the initial plan.
 ///
-/// The reconstruction is **bit-for-bit**: it drives the same state machine
-/// with the same [`idd_core::ExactSum`] accumulator and the same
-/// [`idd_core::ObjectiveStepper`] arithmetic as
-/// [`DeployRuntime::execute`](crate::DeployRuntime::execute), taking every
-/// *decision* (what to dispatch where, what suffix a replan chose, when to
-/// defer) from the journal instead of from a scenario, solver, or config.
-/// Every redundant stamp in the journal is recomputed and cross-checked;
-/// any mismatch is a [`ReplayError::Diverged`].
+/// The reconstruction is **bit-for-bit**: every record goes through the
+/// same transition function as in the live
+/// [`DeployRuntime::execute`](crate::DeployRuntime::execute) — the same
+/// state machine, the same [`idd_core::ExactSum`] accumulator and the same
+/// [`idd_core::ObjectiveStepper`] arithmetic — taking every *decision*
+/// (what to dispatch where, what suffix a replan chose, when to defer)
+/// from the journal instead of from a scenario, solver, or config. Every
+/// redundant stamp in the journal is recomputed and cross-checked; any
+/// mismatch is a [`ReplayError::Diverged`].
+///
+/// The same as [`replay_traced`] with telemetry off, on as many slots as
+/// the journal dispatches into.
 pub fn replay(
     instance: &ProblemInstance,
     initial: &Deployment,
     journal: &DeploymentJournal,
 ) -> Result<DeploymentReport, ReplayError> {
+    let slots = journal
+        .records()
+        .iter()
+        .filter_map(|r| match r {
+            JournalRecord::Dispatch(d) => Some(d.slot.saturating_add(1)),
+            _ => None,
+        })
+        .max()
+        .unwrap_or(1);
+    replay_traced(instance, initial, journal, slots, &Telemetry::off(), "")
+}
+
+/// Replays `journal` like [`replay`] and profiles the past run: with a
+/// recording `telemetry`, the replay emits the run's runtime telemetry —
+/// the `{scope}deploy` and `{scope}slot<j>` tracks the live run emitted
+/// under [`DeployRuntime::with_telemetry`](crate::DeployRuntime::with_telemetry)
+/// and [`with_trace_scope`](crate::DeployRuntime::with_trace_scope), event
+/// for event, since both are the same projection of the same records.
+///
+/// `build_slots` is the run's slot count (`0` is treated as `1`). A slot
+/// that never held a build leaves no record, yet its `idle` span is part of
+/// the profile; a record naming a slot at or beyond `build_slots` diverges.
+pub fn replay_traced(
+    instance: &ProblemInstance,
+    initial: &Deployment,
+    journal: &DeploymentJournal,
+    build_slots: usize,
+    telemetry: &Telemetry,
+    scope: &str,
+) -> Result<DeploymentReport, ReplayError> {
     initial
         .validate(instance)
         .map_err(DeployError::InvalidInitialPlan)?;
-    let mut state = RunState::new(instance, initial);
-
+    let mut state = RunState::new(instance, initial, build_slots.max(1), telemetry, scope);
     for record in journal.records() {
-        match record {
-            JournalRecord::EventLanded(r) => {
-                // Events land at the first boundary at or after their
-                // timestamp; post-deployment events advance the clock.
-                state.clock = state.clock.max(r.event.at);
-                check_bits("event clock", r.clock, state.clock)?;
-                state.apply_event(&r.event)?;
-                state.report.events_applied += 1;
-            }
-
-            JournalRecord::Debounce(_) => {
-                // A recorded *non*-action: the live runtime deferred the
-                // replan to batch with an upcoming event. Nothing to do.
-            }
-
-            JournalRecord::Replan(d) => {
-                // The decision is on the record; the frozen-commitment
-                // snapshot is re-derived from replayed state so a journal
-                // whose suffix contradicts the commitment fails validation.
-                state.report.replans.push(ReplanRecord {
-                    clock: d.clock,
-                    trigger: d.trigger.clone(),
-                    frozen_prefix: state.committed.clone(),
-                    in_flight: state.in_flight.iter().map(|f| f.index).collect(),
-                    suffix_len: d.pending.len(),
-                    warm_start_objective: d.warm_start_objective,
-                    objective: d.objective,
-                    solver: d.solver.clone(),
-                    improved: d.improved,
-                });
-                check_bits("replan clock", d.clock, state.clock)?;
-                state.pending = d.pending.iter().copied().collect();
-                state.validate_plan()?;
-            }
-
-            JournalRecord::Dispatch(d) => {
-                check_bits("dispatch clock", d.clock, state.clock)?;
-                if d.position != state.committed.len() {
-                    return Err(diverged(format!(
-                        "dispatch of {} at position {} but {} builds are committed",
-                        d.index,
-                        d.position,
-                        state.committed.len()
-                    )));
-                }
-                if state.pending.get(d.plan_offset) != Some(&d.index) {
-                    return Err(diverged(format!(
-                        "dispatch of {} at plan offset {} does not match the pending suffix",
-                        d.index, d.plan_offset
-                    )));
-                }
-                if !state.eligible(d.index) {
-                    return Err(diverged(format!(
-                        "dispatch of {} before its precedence prerequisites completed",
-                        d.index
-                    )));
-                }
-                if state.in_flight.iter().any(|f| f.slot == d.slot) {
-                    return Err(diverged(format!(
-                        "dispatch of {} into occupied slot {}",
-                        d.index, d.slot
-                    )));
-                }
-                state.pending.remove(d.plan_offset);
-                if d.plan_offset > 0 {
-                    state.report.out_of_order_dispatches += 1;
-                }
-
-                // The stepper's dispatch-time outputs are pure functions of
-                // (instance, completed set): rebuilding it here reproduces
-                // the live runtime's cost and runtime level bit-for-bit.
-                let evaluator = ObjectiveEvaluator::new(&state.instance);
-                let mut stepper = evaluator.stepper();
-                for &i in &state.completed_order {
-                    stepper.step(i);
-                }
-                for fl in &state.in_flight {
-                    stepper.begin_build(fl.index);
-                }
-                let cost = stepper.begin_build(d.index);
-                check_bits("dispatch cost", d.cost, cost)?;
-
-                // Same per-attempt accumulation as the live runtime, so the
-                // sum rounds identically.
-                let mut wasted = 0.0;
-                for _ in 0..d.retries {
-                    wasted += d.waste_per_failure;
-                }
-                let start = state.clock;
-                let finish = start + (wasted + cost);
-                state.report.builds.push(ExecutedBuild {
-                    position: d.position,
-                    index: d.index,
-                    slot: d.slot,
-                    start,
-                    finish,
-                    cost,
-                    wasted,
-                    retries: d.retries,
-                    plan_offset: d.plan_offset,
-                    runtime_before: stepper.runtime(),
-                    runtime_after: f64::NAN, // filled at completion
-                });
-                state.report.total_build_time += cost;
-                state.report.total_wasted += wasted;
-                state.report.retries += d.retries;
-                state.in_flight.push(InFlight {
-                    index: d.index,
-                    slot: d.slot,
-                    build_pos: state.report.builds.len() - 1,
-                    start,
-                    finish,
-                    cost,
-                    waste_per_failure: d.waste_per_failure,
-                    retries: d.retries,
-                });
-                state.committed.push(d.index);
-            }
-
-            JournalRecord::Fail(f) => {
-                let fl = state
-                    .in_flight
-                    .iter()
-                    .find(|x| x.index == f.index)
-                    .ok_or_else(|| {
-                        diverged(format!(
-                            "failed attempt of {} with no such build in flight",
-                            f.index
-                        ))
-                    })?;
-                if f.slot != fl.slot {
-                    return Err(diverged(format!(
-                        "failed attempt of {} in slot {} but the build occupies slot {}",
-                        f.index, f.slot, fl.slot
-                    )));
-                }
-                if f.attempt == 0 || f.attempt > fl.retries {
-                    return Err(diverged(format!(
-                        "attempt {} of {} outside its {} recorded retries",
-                        f.attempt, f.index, fl.retries
-                    )));
-                }
-                // Attempt k starts after k−1 wasted attempts, accumulated
-                // the same way the live runtime accumulated them.
-                let mut attempt_start = fl.start;
-                for _ in 1..f.attempt {
-                    attempt_start += fl.waste_per_failure;
-                }
-                check_bits("failed-attempt clock", f.clock, attempt_start)?;
-                check_bits("failed-attempt waste", f.wasted, fl.waste_per_failure)?;
-            }
-
-            JournalRecord::Complete(c) => {
-                let pos = state
-                    .in_flight
-                    .iter()
-                    .position(|f| f.index == c.index)
-                    .ok_or_else(|| {
-                        diverged(format!(
-                            "completion of {} with no such build in flight",
-                            c.index
-                        ))
-                    })?;
-
-                // Rebuild the stepper over (completions, in-flight set) —
-                // the completing build still in it, exactly as the live
-                // stepper had it at this point.
-                let evaluator = ObjectiveEvaluator::new(&state.instance);
-                let mut stepper = evaluator.stepper();
-                for &i in &state.completed_order {
-                    stepper.step(i);
-                }
-                for fl in &state.in_flight {
-                    stepper.begin_build(fl.index);
-                }
-
-                let fl = state.in_flight.remove(pos);
-                if c.slot != fl.slot {
-                    return Err(diverged(format!(
-                        "completion of {} in slot {} but the build occupies slot {}",
-                        c.index, c.slot, fl.slot
-                    )));
-                }
-
-                // Integrate runtime · wall-clock over [clock, finish] with
-                // the exact branch structure of the live runtime: the
-                // serial-shaped per-attempt split when nothing accrued since
-                // this build started, one piece otherwise.
-                let runtime = stepper.runtime();
-                if state.clock.to_bits() == fl.start.to_bits() {
-                    for _ in 0..fl.retries {
-                        state.realized.add_prod(runtime, fl.waste_per_failure);
-                    }
-                    state.realized.add_prod(runtime, fl.cost);
-                } else {
-                    state.realized.add_prod(runtime, fl.finish - state.clock);
-                }
-                state.clock = fl.finish;
-                check_bits("completion clock", c.clock, state.clock)?;
-
-                let (_, runtime_after) = stepper.complete_build(fl.index);
-                state.report.builds[fl.build_pos].runtime_after = runtime_after;
-                state.built[fl.index.raw()] = true;
-                state.completed_order.push(fl.index);
-                check_bits(
-                    "realized cost at completion",
-                    c.realized,
-                    state.realized.value(),
-                )?;
-            }
-        }
+        state.apply(record.clone())?;
     }
-
-    if !state.pending.is_empty() || !state.in_flight.is_empty() {
-        return Err(diverged(format!(
-            "journal ended with {} pending and {} in-flight builds",
-            state.pending.len(),
-            state.in_flight.len()
-        )));
-    }
-
-    // Same closing arithmetic as the live runtime: the final runtime is the
-    // completion order replayed on the final (drifted / revised) instance.
-    let evaluator = ObjectiveEvaluator::new(&state.instance);
-    let mut stepper = evaluator.stepper();
-    for &i in &state.completed_order {
-        stepper.step(i);
-    }
-    state.report.final_runtime = stepper.runtime();
-    state.report.realized_cost = state.realized.value();
-    state.report.total_clock = state.clock;
-    Ok(state.report)
+    Ok(state.finish()?.0)
 }

@@ -34,6 +34,13 @@
 //!   work-conserving overtake recorded), replan records (each carrying its
 //!   frozen-commitment and in-flight snapshots), realized cumulative cost,
 //!   wasted clock, retry and out-of-order dispatch counts.
+//! * [`DeploymentJournal`] — the run's one event stream. Every state change
+//!   of a run is a journal record applied through one transition function,
+//!   live and in [`replay`] alike, so replaying a journal against the run's
+//!   seed (instance and initial plan) rebuilds the report bit-for-bit.
+//!   Runtime telemetry ([`DeployRuntime::with_telemetry`]) is a projection
+//!   of those records, so [`replay_traced`] profiles a past run from its
+//!   seed and journal alone.
 //!
 //! Invariants, encoded in the runtime and locked down by this crate's
 //! proptests (`replan_props` and the `serial_equivalence` differential
@@ -58,14 +65,15 @@
 pub mod journal;
 pub mod report;
 pub mod runtime;
+mod state;
 
-pub use journal::{replay, DeploymentJournal, ReplayError};
+pub use journal::{replay, replay_traced, DeploymentJournal, ReplayError};
 pub use report::{DeploymentReport, ExecutedBuild, ReplanRecord};
 pub use runtime::{DeployConfig, DeployError, DeployRuntime, DispatchPolicy, ReplanTrigger};
 
 /// Convenience re-exports for downstream crates and examples.
 pub mod prelude {
-    pub use crate::journal::{replay, DeploymentJournal, ReplayError};
+    pub use crate::journal::{replay, replay_traced, DeploymentJournal, ReplayError};
     pub use crate::report::{DeploymentReport, ExecutedBuild, ReplanRecord};
     pub use crate::runtime::{
         DeployConfig, DeployError, DeployRuntime, DispatchPolicy, ReplanTrigger,

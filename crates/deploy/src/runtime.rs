@@ -61,19 +61,16 @@
 //! replan ([`DeployConfig::with_slot_aware_replan`]) scores candidate
 //! suffixes with instead of the serial proxy.
 
-use crate::journal::DeploymentJournal;
-use crate::report::{DeploymentReport, ExecutedBuild, ReplanRecord};
+use crate::journal::{DeploymentJournal, ReplayError};
+use crate::report::{DeploymentReport, ExecutedBuild};
+use crate::state::{trigger, RunState};
 use idd_core::{
-    CompleteRecord, CoreError, DebounceRecord, Deployment, DispatchRecord, EventKind, EventRecord,
-    EvolutionEvent, EvolutionScenario, ExactSum, FailRecord, IndexId, JournalRecord,
-    ObjectiveEvaluator, ProblemInstance, ReplanDecision,
+    CoreError, DebounceRecord, Deployment, DispatchRecord, EventRecord, EvolutionScenario,
+    FailRecord, IndexId, JournalRecord, ObjectiveEvaluator, ProblemInstance, ReplanDecision,
 };
 use idd_solver::replan::{ReplanStrategy, Replanner, SuffixScoring};
 use idd_solver::SearchBudget;
-use idd_telemetry::{Telemetry, TrackRecorder};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-use std::collections::VecDeque;
+use idd_telemetry::Telemetry;
 
 /// Errors a deployment run can hit.
 #[derive(Debug)]
@@ -102,6 +99,17 @@ impl std::error::Error for DeployError {}
 impl From<CoreError> for DeployError {
     fn from(e: CoreError) -> Self {
         DeployError::InfeasibleEvent(e)
+    }
+}
+
+/// Maps an error of [`RunState::apply`] on a record the runtime built
+/// itself. An event or plan that fails passes through unchanged; a record
+/// the state rejects as diverged would be a runtime bug, surfaced as an
+/// invalid plan instead of executed.
+fn live(e: ReplayError) -> DeployError {
+    match e {
+        ReplayError::Run(e) => e,
+        other => DeployError::InvalidPlan(other.to_string()),
     }
 }
 
@@ -273,351 +281,6 @@ pub struct DeployRuntime {
     trace_scope: String,
 }
 
-/// The runtime's telemetry surface: one track for the event loop, one per
-/// build slot. Every method is a no-op when the runtime's [`Telemetry`] is
-/// off (`deploy` is `None` and `slots` is empty), so the execution path is
-/// bit-identical to the uninstrumented one by construction.
-struct RuntimeTrace {
-    deploy: Option<TrackRecorder>,
-    slots: Vec<TrackRecorder>,
-    /// Per-slot busy intervals (start, finish), appended in completion
-    /// order — per slot they are disjoint and time-ordered because a slot
-    /// is only reused after its build completes. Consumed by
-    /// [`RuntimeTrace::finish`] to derive the complementary idle spans.
-    busy: Vec<Vec<(f64, f64)>>,
-}
-
-impl RuntimeTrace {
-    /// The no-op surface, used by the serial reference oracle (which is
-    /// deliberately never instrumented) and by runtimes without telemetry.
-    fn disabled() -> Self {
-        Self {
-            deploy: None,
-            slots: Vec::new(),
-            busy: Vec::new(),
-        }
-    }
-
-    fn new(telemetry: &Telemetry, scope: &str, slots: usize) -> Self {
-        if !telemetry.is_enabled() {
-            return Self::disabled();
-        }
-        let deploy = Some(telemetry.register(format!("{scope}deploy")).recorder());
-        let slot_recorders = (0..slots)
-            .map(|j| telemetry.register(format!("{scope}slot{j}")).recorder())
-            .collect();
-        Self {
-            deploy,
-            slots: slot_recorders,
-            busy: vec![Vec::new(); slots],
-        }
-    }
-
-    fn event_landed(&mut self, clock: f64, label: &str, pending: usize) {
-        if let Some(r) = &mut self.deploy {
-            r.mark_at(clock, "event", label.to_string());
-            r.gauge_at(clock, "pending", pending as f64);
-        }
-    }
-
-    fn debounce(&mut self, clock: f64, deferred: &str, next_event_at: f64) {
-        if let Some(r) = &mut self.deploy {
-            r.mark_at(
-                clock,
-                "debounce",
-                format!("{deferred} next={next_event_at:.2}"),
-            );
-        }
-    }
-
-    fn replan(&mut self, clock: f64, trigger: &str, solver: &str, improved: bool) {
-        if let Some(r) = &mut self.deploy {
-            r.mark_at(
-                clock,
-                "replan",
-                format!("trigger={trigger} solver={solver} improved={improved}"),
-            );
-        }
-    }
-
-    fn dispatch(&mut self, clock: f64, slot: usize, index: IndexId, position: usize) {
-        if let Some(r) = self.slots.get_mut(slot) {
-            r.mark_at(clock, "dispatch", format!("{index} position={position}"));
-        }
-    }
-
-    fn fail(&mut self, clock: f64, slot: usize, index: IndexId, attempt: u32) {
-        if let Some(r) = self.slots.get_mut(slot) {
-            r.mark_at(clock, "fail", format!("{index} attempt={attempt}"));
-        }
-    }
-
-    fn complete(&mut self, slot: usize, index: IndexId, start: f64, finish: f64, pending: usize) {
-        if let Some(r) = self.slots.get_mut(slot) {
-            r.span("busy", start, finish);
-            r.mark_at(finish, "complete", index.to_string());
-            self.busy[slot].push((start, finish));
-        }
-        if let Some(r) = &mut self.deploy {
-            r.gauge_at(finish, "pending", pending as f64);
-        }
-    }
-
-    /// Emits each slot's idle spans: the gaps between its busy intervals
-    /// over `[0, makespan]`, so that per slot busy + idle == makespan (and
-    /// summed, busy + idle == slots × makespan — the invariant the
-    /// `slot_accounting` suite checks against the report totals).
-    fn finish(&mut self, makespan: f64) {
-        for (slot, intervals) in self.busy.iter().enumerate() {
-            let r = &mut self.slots[slot];
-            let mut cursor = 0.0;
-            for &(start, end) in intervals {
-                if start > cursor {
-                    r.span("idle", cursor, start);
-                }
-                cursor = cursor.max(end);
-            }
-            if makespan > cursor {
-                r.span("idle", cursor, makespan);
-            }
-        }
-    }
-}
-
-/// A build occupying a slot: dispatched, not yet completed.
-/// `pub(crate)` so the journal replayer can reconstruct the same state.
-#[derive(Debug, Clone)]
-pub(crate) struct InFlight {
-    pub(crate) index: IndexId,
-    pub(crate) slot: usize,
-    /// Position of this build's record in `report.builds`.
-    pub(crate) build_pos: usize,
-    pub(crate) start: f64,
-    /// `start + (wasted + cost)`, the completion time.
-    pub(crate) finish: f64,
-    pub(crate) cost: f64,
-    pub(crate) waste_per_failure: f64,
-    pub(crate) retries: u32,
-}
-
-/// Key of the completion priority queue: earliest finish first, dispatch
-/// order breaking ties, so the event loop is deterministic.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Completion {
-    finish: f64,
-    seq: usize,
-    index: IndexId,
-}
-
-impl Eq for Completion {}
-
-impl Ord for Completion {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.finish
-            .total_cmp(&other.finish)
-            .then(self.seq.cmp(&other.seq))
-    }
-}
-
-impl PartialOrd for Completion {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// Mutable run state, grouped so the helper methods can borrow it wholesale.
-/// `pub(crate)` so the journal replayer (`crate::journal`) can drive the
-/// exact same state machine from recorded actions.
-pub(crate) struct RunState {
-    pub(crate) instance: ProblemInstance,
-    /// Parent-id dispatch order of every committed build — completed *and*
-    /// in-flight (append-only; the frozen commitment at any moment).
-    pub(crate) committed: Vec<IndexId>,
-    /// Parent-id completion order of finished builds (used to replay the
-    /// stepper after the instance changes).
-    pub(crate) completed_order: Vec<IndexId>,
-    /// Parent-id bitmap of *completed* indexes.
-    pub(crate) built: Vec<bool>,
-    /// Parent-id bitmap of retracted (dropped, unbuilt) indexes.
-    pub(crate) excluded: Vec<bool>,
-    /// Builds currently occupying slots, in dispatch order.
-    pub(crate) in_flight: Vec<InFlight>,
-    /// The planned unbuilt suffix, in execution order (parent ids). A
-    /// `VecDeque` so head dispatch is O(1) (and a work-conserving overtake
-    /// at position `p` costs `O(min(p, n − p))`, not a full shift).
-    pub(crate) pending: VecDeque<IndexId>,
-    /// Replan triggers accumulated but not yet acted on (debouncing).
-    deferred_triggers: Vec<&'static str>,
-    pub(crate) clock: f64,
-    /// Exact accumulator behind `report.realized_cost`: every
-    /// `runtime · duration` product lands here error-free and is rounded
-    /// once at the end of the run, so a quiet run reproduces the offline
-    /// objective area bit-for-bit (the offline evaluator sums the same
-    /// products the same way).
-    pub(crate) realized: ExactSum,
-    pub(crate) report: DeploymentReport,
-    /// Typed record of every action taken, in order. Appended by `execute`
-    /// (the serial reference predates the journal and stays silent); moved
-    /// into the returned [`DeploymentJournal`] by `execute_journaled`.
-    journal: Vec<JournalRecord>,
-}
-
-impl RunState {
-    pub(crate) fn new(instance: &ProblemInstance, initial: &Deployment) -> Self {
-        let n = instance.num_indexes();
-        RunState {
-            instance: instance.clone(),
-            committed: Vec::with_capacity(n),
-            completed_order: Vec::with_capacity(n),
-            built: vec![false; n],
-            excluded: vec![false; n],
-            in_flight: Vec::new(),
-            pending: initial.order().iter().copied().collect(),
-            deferred_triggers: Vec::new(),
-            clock: 0.0,
-            realized: ExactSum::new(),
-            report: DeploymentReport {
-                builds: Vec::new(),
-                replans: Vec::new(),
-                realized_cost: 0.0,
-                final_runtime: 0.0,
-                total_clock: 0.0,
-                total_build_time: 0.0,
-                total_wasted: 0.0,
-                retries: 0,
-                out_of_order_dispatches: 0,
-                events_applied: 0,
-                ineffective_drops: 0,
-            },
-            journal: Vec::new(),
-        }
-    }
-
-    /// `true` when `raw` is committed: completed or occupying a slot.
-    pub(crate) fn is_committed(&self, raw: usize) -> bool {
-        self.built[raw] || self.in_flight.iter().any(|f| f.index.raw() == raw)
-    }
-
-    /// Validates the in-flight plan: `committed ++ pending` must cover
-    /// exactly the unexcluded (or already committed) indexes once each and
-    /// satisfy every applicable precedence of the current instance.
-    pub(crate) fn validate_plan(&self) -> Result<(), DeployError> {
-        let n = self.instance.num_indexes();
-        let mut position = vec![usize::MAX; n];
-        for (p, &i) in self.committed.iter().chain(self.pending.iter()).enumerate() {
-            if i.raw() >= n {
-                return Err(DeployError::InvalidPlan(format!("{i} is out of range")));
-            }
-            if position[i.raw()] != usize::MAX {
-                return Err(DeployError::InvalidPlan(format!("{i} is scheduled twice")));
-            }
-            position[i.raw()] = p;
-        }
-        for (raw, &pos) in position.iter().enumerate() {
-            let scheduled = pos != usize::MAX;
-            let should_be = !self.excluded[raw] || self.is_committed(raw);
-            if scheduled != should_be {
-                return Err(DeployError::InvalidPlan(format!(
-                    "index i{raw} is {} the plan but should {}be",
-                    if scheduled { "in" } else { "missing from" },
-                    if should_be { "" } else { "not " },
-                )));
-            }
-        }
-        for pr in self.instance.precedences() {
-            let before = position[pr.before.raw()];
-            let after = position[pr.after.raw()];
-            if after == usize::MAX {
-                continue; // constrained index left the target set: vacuous
-            }
-            if before == usize::MAX {
-                return Err(DeployError::InvalidPlan(format!(
-                    "{} requires retracted prerequisite {}",
-                    pr.after, pr.before
-                )));
-            }
-            if before > after {
-                return Err(DeployError::InvalidPlan(format!(
-                    "plan violates precedence {} -> {}",
-                    pr.before, pr.after
-                )));
-            }
-        }
-        Ok(())
-    }
-
-    /// Applies one timed event, mutating the instance / target set and the
-    /// mechanically-maintained pending order (additions append, drops
-    /// remove). Returns the trigger label.
-    pub(crate) fn apply_event(
-        &mut self,
-        event: &EvolutionEvent,
-    ) -> Result<&'static str, DeployError> {
-        match &event.kind {
-            EventKind::Drift(drift) => {
-                self.instance = drift.apply_to(&self.instance)?;
-                Ok("drift")
-            }
-            EventKind::Revision(revision) => {
-                let (revised, new_ids) = revision.apply_additions(&self.instance)?;
-                self.instance = revised;
-                let n = self.instance.num_indexes();
-                self.built.resize(n, false);
-                self.excluded.resize(n, false);
-                // New indexes join the plan at the end (a replan will place
-                // them properly; the static baseline keeps them there).
-                self.pending.extend(new_ids);
-                for &dropped in &revision.drop {
-                    if dropped.raw() >= n || self.is_committed(dropped.raw()) {
-                        // Already built — or mid-build: a slot cannot
-                        // un-build what it is building.
-                        self.report.ineffective_drops += 1;
-                        continue;
-                    }
-                    // Tentatively retract, but refuse drops that orphan a
-                    // still-scheduled dependent behind a precedence.
-                    self.excluded[dropped.raw()] = true;
-                    let orphans = self.instance.precedences().iter().any(|pr| {
-                        pr.before == dropped
-                            && !self.is_committed(pr.after.raw())
-                            && !self.excluded[pr.after.raw()]
-                    });
-                    if orphans {
-                        self.excluded[dropped.raw()] = false;
-                        self.report.ineffective_drops += 1;
-                    } else {
-                        self.pending.retain(|&i| i != dropped);
-                    }
-                }
-                Ok("revision")
-            }
-        }
-    }
-
-    /// `true` when `index` may be dispatched: every precedence prerequisite
-    /// has *completed* (an in-flight prerequisite blocks dispatch — the
-    /// dependency is on the built artifact, not on the commitment).
-    pub(crate) fn eligible(&self, index: IndexId) -> bool {
-        self.instance
-            .precedences()
-            .iter()
-            .all(|pr| pr.after != index || self.built[pr.before.raw()])
-    }
-
-    /// Position in `pending` of the next index `policy` admits into a free
-    /// slot, if any. Head-of-line admits only an eligible head;
-    /// work-conserving admits the first eligible index. Eligibility depends
-    /// only on the *completed* set, so the answer is stable across the
-    /// dispatches of one completion boundary.
-    pub(crate) fn next_dispatchable(&self, policy: DispatchPolicy) -> Option<usize> {
-        let limit = match policy {
-            DispatchPolicy::HeadOfLine => self.pending.len().min(1),
-            DispatchPolicy::WorkConserving => self.pending.len(),
-        };
-        (0..limit).find(|&pos| self.eligible(self.pending[pos]))
-    }
-}
-
 impl DeployRuntime {
     /// Creates a runtime with the given configuration.
     pub fn new(config: DeployConfig) -> Self {
@@ -635,8 +298,14 @@ impl DeployRuntime {
     /// `pending` queue-depth gauge) plus one track per build slot
     /// (`slot<j>`: dispatch / fail / complete marks, `busy` spans per
     /// build, and `idle` spans covering the gaps) — every stamp on the
-    /// logical deployment clock, cross-referenced to the journal records
-    /// by position and clock.
+    /// logical deployment clock.
+    ///
+    /// This telemetry is a projection of the run's journal: each mark,
+    /// gauge and `busy` span is emitted as its journal record is applied,
+    /// and the closing `idle` spans are the gaps between each slot's
+    /// builds. A trace and its journal therefore cannot disagree, and
+    /// [`crate::replay_traced`] profiles a past run from its seed and
+    /// journal alone.
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
         self.telemetry = telemetry;
         self
@@ -675,8 +344,13 @@ impl DeployRuntime {
     /// run's [`DeploymentJournal`]: one typed record per action taken
     /// (dispatch, failed attempt, completion, event landing, replan,
     /// debounce deferral), stamped with the exact clock and slot.
-    /// [`crate::journal::replay`] reconstructs the identical report from the
-    /// journal bit-for-bit.
+    ///
+    /// The loop below only *decides* — which index goes to which slot, how
+    /// often a build fails, which suffix a replan picks, when to defer —
+    /// and every decision changes the run only as a journal record applied
+    /// through the same transition function [`crate::journal::replay`]
+    /// uses, which is why replay reconstructs the identical report
+    /// bit-for-bit.
     pub fn execute_journaled(
         &self,
         instance: &ProblemInstance,
@@ -696,17 +370,14 @@ impl DeployRuntime {
         } else {
             0.0
         };
-        let mut state = RunState::new(instance, initial);
-        let mut trace = RuntimeTrace::new(&self.telemetry, &self.trace_scope, slots);
+        let mut state = RunState::new(instance, initial, slots, &self.telemetry, &self.trace_scope);
 
         // Earliest event last, so `pop` yields events in time order.
         let mut queue = scenario.sorted_events();
         queue.reverse();
 
-        // The completion priority queue and the free-slot pool (lowest slot
-        // id first, so slot assignment is deterministic).
-        let mut completions: BinaryHeap<Reverse<Completion>> = BinaryHeap::new();
-        let mut free_slots: BinaryHeap<Reverse<usize>> = (0..slots).map(Reverse).collect();
+        // Replan triggers accumulated but not yet acted on (debouncing).
+        let mut triggers: Vec<&'static str> = Vec::new();
 
         loop {
             // 1. Land every event due at this completion boundary. (Once
@@ -716,17 +387,14 @@ impl DeployRuntime {
                 e.at <= state.clock || (state.pending.is_empty() && state.in_flight.is_empty())
             }) {
                 let event = queue.pop().expect("peeked");
-                state.clock = state.clock.max(event.at);
-                let label = state.apply_event(&event)?;
-                if !state.deferred_triggers.contains(&label) {
-                    state.deferred_triggers.push(label);
+                let label = trigger(&event.kind);
+                let clock = state.clock.max(event.at);
+                state
+                    .apply(JournalRecord::EventLanded(EventRecord { clock, event }))
+                    .map_err(live)?;
+                if !triggers.contains(&label) {
+                    triggers.push(label);
                 }
-                state.report.events_applied += 1;
-                trace.event_landed(state.clock, label, state.pending.len());
-                state.journal.push(JournalRecord::EventLanded(EventRecord {
-                    clock: state.clock,
-                    event,
-                }));
             }
 
             // 2. Act on accumulated triggers, unless another event is close
@@ -737,60 +405,30 @@ impl DeployRuntime {
             //    act now and let replan validation surface whatever the
             //    events broke (e.g. an addition behind a retracted
             //    prerequisite).
-            if !state.deferred_triggers.is_empty() {
+            if !triggers.is_empty() {
                 let next_within_window =
                     queue.last().is_some_and(|e| e.at <= state.clock + debounce);
                 let can_progress = !state.in_flight.is_empty()
                     || state.next_dispatchable(self.config.dispatch).is_some();
-                if next_within_window && can_progress {
-                    let next_event_at = queue.last().expect("within window").at;
-                    trace.debounce(
-                        state.clock,
-                        &state.deferred_triggers.join("+"),
-                        next_event_at,
-                    );
-                    state.journal.push(JournalRecord::Debounce(DebounceRecord {
+                let record = if next_within_window && can_progress {
+                    Some(JournalRecord::Debounce(DebounceRecord {
                         clock: state.clock,
-                        deferred: state.deferred_triggers.join("+"),
-                        next_event_at,
-                    }));
+                        deferred: triggers.join("+"),
+                        next_event_at: queue.last().expect("within window").at,
+                    }))
                 } else {
-                    let trigger = state.deferred_triggers.join("+");
-                    state.deferred_triggers.clear();
-                    self.replan(&mut state, &trigger, &mut trace)?;
-                    state.validate_plan()?;
+                    let trigger = triggers.join("+");
+                    triggers.clear();
+                    self.replan(&state, &trigger)?.map(JournalRecord::Replan)
+                };
+                if let Some(record) = record {
+                    state.apply(record).map_err(live)?;
                 }
             }
 
-            // 3. Nothing pending, in flight, or queued: done. The final
-            //    runtime is re-derived by replaying the completions on the
-            //    *current* instance — the same arithmetic the offline
-            //    evaluator uses.
+            // 3. Nothing pending, in flight, or queued: done.
             if state.pending.is_empty() && state.in_flight.is_empty() && queue.is_empty() {
-                let evaluator = ObjectiveEvaluator::new(&state.instance);
-                let mut replay = evaluator.stepper();
-                for &i in &state.completed_order {
-                    replay.step(i);
-                }
-                state.report.final_runtime = replay.runtime();
                 break;
-            }
-
-            // The stepper tracks the workload runtime over the *completed*
-            // set. It is a pure function of (instance, completion order,
-            // in-flight set), so rebuilding it after every instance
-            // mutation — replaying completions and re-marking the in-flight
-            // builds — yields bit-identical state. Events and replans only
-            // happen in the outer loop, so one rebuild serves the whole
-            // dispatch/complete inner loop below (and keeps the borrow of
-            // the event-mutable instance scoped to this iteration).
-            let evaluator = ObjectiveEvaluator::new(&state.instance);
-            let mut stepper = evaluator.stepper();
-            for &i in &state.completed_order {
-                stepper.step(i);
-            }
-            for fl in &state.in_flight {
-                stepper.begin_build(fl.index);
             }
 
             loop {
@@ -803,184 +441,102 @@ impl DeployRuntime {
                 //    before this clock, and the inner loop breaks at the
                 //    completion that makes the next one due.
                 debug_assert!(!queue.last().is_some_and(|e| e.at <= state.clock));
-                while !free_slots.is_empty() {
-                    let Some(pos) = state.next_dispatchable(self.config.dispatch) else {
+                while state.in_flight.len() < slots {
+                    let Some(plan_offset) = state.next_dispatchable(self.config.dispatch) else {
                         break;
                     };
-                    let next = state.pending.remove(pos).expect("position from scan");
-                    if pos > 0 {
-                        state.report.out_of_order_dispatches += 1;
-                    }
-                    let slot = free_slots.pop().expect("checked non-empty").0;
-                    let cost = stepper.begin_build(next);
-
-                    // Failure spec: attempts waste `waste_per_failure`
-                    // clock each before the build succeeds, all inside
-                    // this slot.
-                    let mut wasted = 0.0;
-                    let mut retries = 0u32;
-                    let mut waste_per_failure = 0.0;
-                    if let Some(failure) = scenario.failure_for(next) {
-                        waste_per_failure = cost * failure.waste_fraction.clamp(0.0, 1.0);
-                        for _ in 0..failure.failures {
-                            wasted += waste_per_failure;
-                            retries += 1;
-                        }
-                    }
-
-                    let start = state.clock;
-                    let finish = start + (wasted + cost);
-                    let seq = state.committed.len();
-                    state.report.builds.push(ExecutedBuild {
-                        position: seq,
-                        index: next,
-                        slot,
-                        start,
-                        finish,
-                        cost,
-                        wasted,
-                        retries,
-                        plan_offset: pos,
-                        runtime_before: stepper.runtime(),
-                        runtime_after: f64::NAN, // filled at completion
-                    });
-                    state.report.total_build_time += cost;
-                    state.report.total_wasted += wasted;
-                    state.report.retries += retries;
-                    state.in_flight.push(InFlight {
-                        index: next,
-                        slot,
-                        build_pos: state.report.builds.len() - 1,
-                        start,
-                        finish,
-                        cost,
-                        waste_per_failure,
-                        retries,
-                    });
-                    completions.push(Reverse(Completion {
-                        finish,
-                        seq,
-                        index: next,
-                    }));
-                    state.committed.push(next);
-                    trace.dispatch(start, slot, next, seq);
-                    state.journal.push(JournalRecord::Dispatch(DispatchRecord {
-                        clock: start,
-                        slot,
-                        position: seq,
-                        index: next,
-                        plan_offset: pos,
-                        cost,
-                        retries,
-                        waste_per_failure,
-                    }));
-                    let mut attempt_start = start;
-                    for attempt in 1..=retries {
-                        trace.fail(attempt_start, slot, next, attempt);
-                        state.journal.push(JournalRecord::Fail(FailRecord {
-                            clock: attempt_start,
+                    let index = state.pending[plan_offset];
+                    // The lowest free slot, so slot assignment is
+                    // deterministic.
+                    let slot = (0..slots)
+                        .find(|&j| state.in_flight.iter().all(|f| f.slot != j))
+                        .expect("fewer builds in flight than slots");
+                    // Priced against the indexes *completed* so far.
+                    let cost = state.instance().effective_build_cost(index, &state.built);
+                    // Failure spec: `failures` attempts of `waste_fraction`
+                    // of the cost each precede the successful one.
+                    let (retries, waste_per_failure) =
+                        scenario.failure_for(index).map_or((0, 0.0), |f| {
+                            (f.failures, cost * f.waste_fraction.clamp(0.0, 1.0))
+                        });
+                    let position = state.committed.len();
+                    state
+                        .apply(JournalRecord::Dispatch(DispatchRecord {
+                            clock: state.clock,
                             slot,
-                            index: next,
-                            attempt,
-                            wasted: waste_per_failure,
-                        }));
-                        attempt_start += waste_per_failure;
+                            position,
+                            index,
+                            plan_offset,
+                            cost,
+                            retries,
+                            waste_per_failure,
+                        }))
+                        .map_err(live)?;
+                    let mut clock = state.clock;
+                    for attempt in 1..=retries {
+                        state
+                            .apply(JournalRecord::Fail(FailRecord {
+                                clock,
+                                slot,
+                                index,
+                                attempt,
+                                wasted: waste_per_failure,
+                            }))
+                            .map_err(live)?;
+                        clock += waste_per_failure;
                     }
                 }
 
-                // 5. Advance: pop the earliest completion, accrue the
-                //    workload cost of the elapsed span, and land the
-                //    finished index. With nothing in flight, hand back to
-                //    the outer loop (which lands the due — or, with an
-                //    empty plan, the next future — event, or finishes).
-                let Some(Reverse(completion)) = completions.pop() else {
+                // 5. Advance: land the earliest completion. With nothing in
+                //    flight, hand back to the outer loop (which lands the
+                //    due — or, with an empty plan, the next future — event,
+                //    or finishes).
+                let Some(record) = state.next_completion() else {
                     break;
                 };
-                let pos = state
+                let retried = state
                     .in_flight
                     .iter()
-                    .position(|f| f.index == completion.index)
-                    .expect("completion queue tracks in-flight builds");
-                let fl = state.in_flight.remove(pos);
-
-                // Integrate runtime · wall-clock over [clock, finish]. When
-                // nothing has been accrued since this build started (always
-                // true with one slot), split the span into the serial per-
-                // attempt products so the one-slot runtime reproduces the
-                // serial arithmetic bit-for-bit; otherwise accrue the
-                // remaining span in one piece (the runtime level is
-                // constant over it — every earlier completion has already
-                // been processed).
-                let runtime = stepper.runtime();
-                if state.clock.to_bits() == fl.start.to_bits() {
-                    for _ in 0..fl.retries {
-                        state.realized.add_prod(runtime, fl.waste_per_failure);
-                        stepper.accrue(fl.waste_per_failure);
-                    }
-                    state.realized.add_prod(runtime, fl.cost);
-                    stepper.accrue(fl.cost);
-                } else {
-                    state.realized.add_prod(runtime, fl.finish - state.clock);
-                    stepper.accrue(fl.finish - state.clock);
-                }
-                state.clock = fl.finish;
-
-                let (_, runtime_after) = stepper.complete_build(fl.index);
-                state.report.builds[fl.build_pos].runtime_after = runtime_after;
-                state.built[fl.index.raw()] = true;
-                state.completed_order.push(fl.index);
-                free_slots.push(Reverse(fl.slot));
-                trace.complete(fl.slot, fl.index, fl.start, fl.finish, state.pending.len());
-                state.journal.push(JournalRecord::Complete(CompleteRecord {
-                    clock: fl.finish,
-                    slot: fl.slot,
-                    index: fl.index,
-                    realized: state.realized.value(),
-                }));
+                    .any(|f| f.index == record.index && f.retries > 0);
+                state.apply(JournalRecord::Complete(record)).map_err(live)?;
 
                 // A failure-triggered replan fires at the failing build's
                 // completion boundary (subject to the same debouncing).
                 let failure_trigger = self.config.trigger == ReplanTrigger::OnFailure
-                    && fl.retries > 0
-                    && !state.deferred_triggers.contains(&"failure");
+                    && retried
+                    && !triggers.contains(&"failure");
                 if failure_trigger {
-                    state.deferred_triggers.push("failure");
+                    triggers.push("failure");
                 }
 
                 // Hand back to the outer loop when this completion made an
-                // event due or raised a trigger — landing and replanning
-                // mutate the instance, which invalidates the stepper.
+                // event due or raised a trigger.
                 if failure_trigger || queue.last().is_some_and(|e| e.at <= state.clock) {
                     break;
                 }
             }
         }
 
-        state.report.realized_cost = state.realized.value();
-        state.report.total_clock = state.clock;
-        trace.finish(state.clock);
-        debug_assert!(state.report.prefixes_respected());
-        debug_assert!(state.report.in_flight_respected());
-        Ok((state.report, DeploymentJournal::new(state.journal)))
+        state.finish().map_err(live)
     }
 
-    /// Freezes the commitment (built prefix + in-flight set), derives the
-    /// residual instance, re-optimizes it warm-started from the pending
-    /// order, and splices the result back behind the commitment.
+    /// Decides a replan: freezes the commitment (built prefix + in-flight
+    /// set), derives the residual instance, and re-optimizes it
+    /// warm-started from the pending order. `None` when nothing is pending.
     fn replan(
         &self,
-        state: &mut RunState,
+        state: &RunState,
         trigger: &str,
-        trace: &mut RuntimeTrace,
-    ) -> Result<(), DeployError> {
+    ) -> Result<Option<ReplanDecision>, DeployError> {
         if state.pending.is_empty() {
-            return Ok(());
+            return Ok(None);
         }
         let in_flight_order: Vec<IndexId> = state.in_flight.iter().map(|f| f.index).collect();
-        let residual =
-            state
-                .instance
-                .residual_for_replan(&state.built, &in_flight_order, &state.excluded)?;
+        let residual = state.instance().residual_for_replan(
+            &state.built,
+            &in_flight_order,
+            &state.excluded,
+        )?;
         // Score candidates with what this runtime will actually realize:
         // the k-slot list-schedule objective when slot-aware replanning is
         // on (matching slot count and dispatch policy), the serial proxy
@@ -1017,40 +573,18 @@ impl DeployRuntime {
                     "in-flight suffix is not a permutation of the residual indexes".into(),
                 )
             })?;
-
-        // The spliced order must extend the frozen commitment and satisfy
-        // the (possibly revised) closure — checked here *and* by
-        // validate_plan.
-        let spliced = Deployment::splice(&state.committed, &new_pending);
-        if !spliced.starts_with(&state.committed) {
-            return Err(DeployError::InvalidPlan(
-                "replan reordered the frozen commitment".into(),
-            ));
-        }
-
-        trace.replan(state.clock, trigger, &outcome.solver, outcome.improved);
-        state.journal.push(JournalRecord::Replan(ReplanDecision {
+        // Applying the decision splices the suffix behind the frozen
+        // commitment and validates it against the (possibly revised)
+        // closure.
+        Ok(Some(ReplanDecision {
             clock: state.clock,
             trigger: trigger.to_string(),
-            pending: new_pending.clone(),
-            warm_start_objective: outcome.warm_start_objective,
-            objective: outcome.objective,
-            solver: outcome.solver.clone(),
-            improved: outcome.improved,
-        }));
-        state.report.replans.push(ReplanRecord {
-            clock: state.clock,
-            trigger: trigger.to_string(),
-            frozen_prefix: state.committed.clone(),
-            in_flight: in_flight_order,
-            suffix_len: new_pending.len(),
+            pending: new_pending,
             warm_start_objective: outcome.warm_start_objective,
             objective: outcome.objective,
             solver: outcome.solver,
             improved: outcome.improved,
-        });
-        state.pending = new_pending.into();
-        Ok(())
+        }))
     }
 
     /// The serial executor exactly as shipped before concurrent build slots
@@ -1072,7 +606,7 @@ impl DeployRuntime {
         initial
             .validate(instance)
             .map_err(DeployError::InvalidInitialPlan)?;
-        let mut state = RunState::new(instance, initial);
+        let mut state = RunState::new(instance, initial, 1, &Telemetry::off(), "");
 
         // Earliest event last, so `pop` yields events in time order.
         let mut queue = scenario.sorted_events();
@@ -1096,17 +630,15 @@ impl DeployRuntime {
                 state.report.events_applied += 1;
             }
             if !triggers.is_empty() {
-                self.replan(
-                    &mut state,
-                    &triggers.join("+"),
-                    &mut RuntimeTrace::disabled(),
-                )?;
+                if let Some(decision) = self.replan(&state, &triggers.join("+"))? {
+                    state.apply(JournalRecord::Replan(decision)).map_err(live)?;
+                }
                 state.validate_plan()?;
             }
 
             // 2. Nothing pending and nothing queued: done.
             if state.pending.is_empty() && queue.is_empty() {
-                let evaluator = ObjectiveEvaluator::new(&state.instance);
+                let evaluator = ObjectiveEvaluator::new(state.stepper.instance());
                 let mut stepper = evaluator.stepper();
                 for &i in &state.committed {
                     stepper.step(i);
@@ -1117,7 +649,7 @@ impl DeployRuntime {
 
             // 3. Execute builds until the next event is due (or the plan
             //    runs out).
-            let evaluator = ObjectiveEvaluator::new(&state.instance);
+            let evaluator = ObjectiveEvaluator::new(state.stepper.instance());
             let mut stepper = evaluator.stepper();
             for &i in &state.committed {
                 stepper.step(i);
@@ -1133,7 +665,10 @@ impl DeployRuntime {
                 let mut wasted = 0.0;
                 let mut retries = 0u32;
                 if let Some(failure) = scenario.failure_for(next) {
-                    let cost = state.instance.effective_build_cost(next, stepper.built());
+                    let cost = state
+                        .stepper
+                        .instance()
+                        .effective_build_cost(next, stepper.built());
                     let waste = cost * failure.waste_fraction.clamp(0.0, 1.0);
                     for _ in 0..failure.failures {
                         state.realized.add_prod(stepper.runtime(), waste);
@@ -1179,7 +714,9 @@ impl DeployRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use idd_core::{DesignRevision, EvolutionEvent, IndexAddition, QueryId, WorkloadDrift};
+    use idd_core::{
+        DesignRevision, EventKind, EvolutionEvent, IndexAddition, QueryId, WorkloadDrift,
+    };
 
     /// The paper-style competing example plus a second query, so drift has
     /// something to move between.

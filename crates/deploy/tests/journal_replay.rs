@@ -415,4 +415,97 @@ fn replay_rejects_tampered_truncated_and_malformed_journals() {
     // An empty journal replays an empty run only.
     let err = replay(&inst, &plan, &DeploymentJournal::default()).unwrap_err();
     assert!(matches!(err, ReplayError::Diverged(_)), "{err}");
+
+    // Failed attempts must be exactly 1..=retries, once each, in order,
+    // before the build completes: i1 fails twice here.
+    let flaky = EvolutionScenario {
+        name: "flaky".into(),
+        events: vec![],
+        failures: vec![idd_core::BuildFailure {
+            index: idd_core::IndexId::new(1),
+            failures: 2,
+            waste_fraction: 0.5,
+        }],
+    };
+    let (_, journal) = DeployRuntime::default()
+        .execute_journaled(&inst, &plan, &flaky)
+        .unwrap();
+    let fails: Vec<usize> = positions(&journal, "fail");
+    assert_eq!(fails.len(), 2);
+    for (what, edit) in [
+        ("deleted first fail", Edit::Delete(fails[0])),
+        ("deleted last fail", Edit::Delete(fails[1])),
+        ("duplicated fail", Edit::Duplicate(fails[0])),
+        ("duplicated last fail", Edit::Duplicate(fails[1])),
+    ] {
+        let err = replay(&inst, &plan, &edit.apply(&journal)).unwrap_err();
+        assert!(matches!(err, ReplayError::Diverged(_)), "{what}: {err}");
+    }
+
+    // Debounce stamps are checked too: the clock bit for bit, and
+    // `next_event_at` against the next event that lands.
+    let burst = EvolutionScenario {
+        name: "burst".into(),
+        events: vec![drift_at(4.5, 1, 3.0), drift_at(9.0, 0, 0.5)],
+        failures: vec![],
+    };
+    let (_, journal) = DeployRuntime::new(DeployConfig::static_plan().with_debounce(5.0))
+        .execute_journaled(&inst, &plan, &burst)
+        .unwrap();
+    let debounces = positions(&journal, "debounce");
+    assert!(!debounces.is_empty(), "the burst must be debounced");
+    let tamper = |f: fn(&mut idd_core::DebounceRecord)| {
+        let mut records = journal.records().to_vec();
+        if let JournalRecord::Debounce(d) = &mut records[debounces[0]] {
+            f(d);
+        }
+        DeploymentJournal::new(records)
+    };
+    for (what, tampered) in [
+        ("debounce clock", tamper(|d| d.clock = -123.0)),
+        (
+            "debounce next_event_at",
+            tamper(|d| d.next_event_at = f64::NAN),
+        ),
+        (
+            "both debounce stamps",
+            tamper(|d| {
+                d.clock = -123.0;
+                d.next_event_at = f64::NAN;
+            }),
+        ),
+    ] {
+        let err = replay(&inst, &plan, &tampered).unwrap_err();
+        assert!(matches!(err, ReplayError::Diverged(_)), "{what}: {err}");
+    }
+}
+
+/// Positions of the records tagged `tag`.
+fn positions(journal: &DeploymentJournal, tag: &str) -> Vec<usize> {
+    journal
+        .records()
+        .iter()
+        .enumerate()
+        .filter(|(_, r)| r.tag() == tag)
+        .map(|(p, _)| p)
+        .collect()
+}
+
+/// A one-record edit of a journal.
+enum Edit {
+    Delete(usize),
+    Duplicate(usize),
+}
+
+impl Edit {
+    fn apply(&self, journal: &DeploymentJournal) -> DeploymentJournal {
+        let mut records = journal.records().to_vec();
+        match *self {
+            Edit::Delete(at) => {
+                records.remove(at);
+            }
+            Edit::Duplicate(at) => records.insert(at, records[at].clone()),
+        }
+        DeploymentJournal::new(records)
+    }
 }

@@ -20,7 +20,6 @@
 //!   rewrites the span `[a, b)` of a *base* order in `O(b - a)` — `O(1)` for
 //!   an adjacent swap — over the [`SoaView`] layout,
 //!   *bit-identical* to re-running [`ObjectiveEvaluator::evaluate`].
-//!   [`PrefixEvaluator`] is a thin compatibility wrapper over it.
 //! * [`SuffixReplayEvaluator`] — the previous checkpoint-and-replay
 //!   incremental evaluator, kept as the easily-auditable reference the delta
 //!   path is differentially tested against (and as the "before" baseline of
@@ -45,6 +44,7 @@ use crate::matrix::SoaView;
 use crate::solution::Deployment;
 use crate::types::{IndexId, QueryId};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// Per-step metrics of a deployment, used for reports and Figure 13.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -159,12 +159,13 @@ impl EvalState {
 
 /// Evaluates deployment orders against one [`ProblemInstance`].
 ///
-/// The evaluator borrows the instance and precomputes flat arrays (plan
+/// The evaluator borrows the instance (or, behind
+/// [`ObjectiveStepper::owned`], owns it) and precomputes flat arrays (plan
 /// widths, weighted speed-ups, plan→query mapping) so the per-step work is a
 /// handful of cache-friendly vector scans.
 #[derive(Debug, Clone)]
 pub struct ObjectiveEvaluator<'a> {
-    instance: &'a ProblemInstance,
+    instance: Cow<'a, ProblemInstance>,
     /// Plan width (number of indexes) per plan.
     plan_width: Vec<u32>,
     /// Weighted speed-up per plan.
@@ -180,6 +181,10 @@ pub struct ObjectiveEvaluator<'a> {
 impl<'a> ObjectiveEvaluator<'a> {
     /// Creates an evaluator for the given instance.
     pub fn new(instance: &'a ProblemInstance) -> Self {
+        Self::from_cow(Cow::Borrowed(instance))
+    }
+
+    fn from_cow(instance: Cow<'a, ProblemInstance>) -> Self {
         let plan_width = instance.plans().iter().map(|p| p.width() as u32).collect();
         let plan_speedup = instance
             .plan_ids()
@@ -187,18 +192,18 @@ impl<'a> ObjectiveEvaluator<'a> {
             .collect();
         let plan_query = instance.plans().iter().map(|p| p.query.raw()).collect();
         Self {
+            baseline_runtime: instance.baseline_runtime(),
+            base_build_cost: instance.total_base_build_cost(),
             instance,
             plan_width,
             plan_speedup,
             plan_query,
-            baseline_runtime: instance.baseline_runtime(),
-            base_build_cost: instance.total_base_build_cost(),
         }
     }
 
     /// The instance this evaluator is bound to.
-    pub fn instance(&self) -> &'a ProblemInstance {
-        self.instance
+    pub fn instance(&self) -> &ProblemInstance {
+        &self.instance
     }
 
     /// `R_∅`: total workload runtime with no candidate index built.
@@ -264,7 +269,7 @@ impl<'a> ObjectiveEvaluator<'a> {
     /// builds); call [`Deployment::validate`] first if it comes from an
     /// untrusted source.
     pub fn evaluate(&self, deployment: &Deployment) -> ObjectiveValue {
-        debug_assert!(deployment.validate(self.instance).is_ok());
+        debug_assert!(deployment.validate(&self.instance).is_ok());
         let mut state = EvalState::initial(self);
         let mut steps = Vec::with_capacity(deployment.len());
         for (_, index) in deployment.iter() {
@@ -381,7 +386,22 @@ pub struct ObjectiveStepper<'a> {
     in_flight_count: usize,
 }
 
+impl ObjectiveStepper<'static> {
+    /// A fresh stepper (nothing built yet) that owns `instance`, for a
+    /// consumer whose instance changes while it steps: the deployment
+    /// runtime keeps one stepper per run and swaps in a new one when an
+    /// evolution event replaces the instance.
+    pub fn owned(instance: ProblemInstance) -> Self {
+        ObjectiveEvaluator::from_cow(Cow::Owned(instance)).into_stepper()
+    }
+}
+
 impl<'a> ObjectiveStepper<'a> {
+    /// The instance this stepper evaluates against.
+    pub fn instance(&self) -> &ProblemInstance {
+        self.evaluator.instance()
+    }
+
     /// Applies one deployment step (builds `index`) and returns its metrics.
     pub fn step(&mut self, index: IndexId) -> StepMetrics {
         self.evaluator.apply_step(&mut self.state, index)
@@ -479,11 +499,15 @@ impl<'a> ObjectiveEvaluator<'a> {
     /// owns a clone of this evaluator, so it stays usable after the borrow
     /// ends.
     pub fn stepper(&self) -> ObjectiveStepper<'a> {
+        self.clone().into_stepper()
+    }
+
+    fn into_stepper(self) -> ObjectiveStepper<'a> {
         ObjectiveStepper {
-            state: EvalState::initial(self),
+            state: EvalState::initial(&self),
             in_flight: vec![false; self.instance.num_indexes()],
             in_flight_count: 0,
-            evaluator: self.clone(),
+            evaluator: self,
         }
     }
 }
@@ -1040,69 +1064,6 @@ impl<'a> DeltaEvaluator<'a> {
     }
 }
 
-/// Incremental evaluator for local search over a *base* deployment order.
-///
-/// Since the delta-evaluation rework this is a thin wrapper over
-/// [`DeltaEvaluator`] kept for call-site compatibility: moves cost
-/// `O(span)` instead of `O(suffix)`, and committing no longer clones
-/// per-position state checkpoints.
-#[derive(Debug, Clone)]
-pub struct PrefixEvaluator<'a> {
-    inner: DeltaEvaluator<'a>,
-}
-
-impl<'a> PrefixEvaluator<'a> {
-    /// Creates an incremental evaluator with the given base order.
-    pub fn new(instance: &'a ProblemInstance, base: Deployment) -> Self {
-        Self {
-            inner: DeltaEvaluator::new(instance, base),
-        }
-    }
-
-    /// The underlying full evaluator.
-    pub fn evaluator(&self) -> &ObjectiveEvaluator<'a> {
-        self.inner.evaluator()
-    }
-
-    /// The current base order.
-    pub fn base(&self) -> &Deployment {
-        self.inner.base()
-    }
-
-    /// The objective area of the current base order.
-    pub fn base_area(&self) -> f64 {
-        self.inner.base_area()
-    }
-
-    /// Replaces the base order and rebuilds the per-position state.
-    pub fn set_base(&mut self, base: Deployment) {
-        self.inner.set_base(base);
-    }
-
-    /// Evaluates the area of `order`, walking only the window where it
-    /// differs from the base order.
-    pub fn evaluate_order(&mut self, order: &Deployment) -> f64 {
-        self.inner.evaluate_order(order)
-    }
-
-    /// Evaluates the area of the base order with positions `a` and `b`
-    /// swapped, without materializing the swapped order.
-    pub fn evaluate_swap(&mut self, a: usize, b: usize) -> f64 {
-        self.inner.evaluate_swap(a, b)
-    }
-
-    /// Applies a swap to the base order.
-    pub fn commit_swap(&mut self, a: usize, b: usize) {
-        self.inner.commit_swap(a, b);
-    }
-
-    /// Replaces the whole base order (alias of [`PrefixEvaluator::set_base`]
-    /// kept for readability at call sites that accept arbitrary moves).
-    pub fn commit_order(&mut self, order: Deployment) {
-        self.inner.commit_order(order);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1326,11 +1287,11 @@ mod tests {
     }
 
     #[test]
-    fn prefix_evaluator_matches_full_evaluation_on_swaps() {
+    fn delta_evaluator_matches_full_evaluation_on_swaps() {
         let inst = competing_example();
         let eval = ObjectiveEvaluator::new(&inst);
         let base = Deployment::from_raw([0, 1]);
-        let mut pe = PrefixEvaluator::new(&inst, base.clone());
+        let mut pe = DeltaEvaluator::new(&inst, base.clone());
         assert_eq!(pe.base_area(), eval.evaluate_area(&base));
         let swapped = base.with_swap(0, 1);
         assert_eq!(pe.evaluate_swap(0, 1), eval.evaluate_area(&swapped));
@@ -1338,9 +1299,9 @@ mod tests {
     }
 
     #[test]
-    fn prefix_evaluator_commit_updates_base() {
+    fn delta_evaluator_commit_updates_base() {
         let inst = competing_example();
-        let mut pe = PrefixEvaluator::new(&inst, Deployment::from_raw([0, 1]));
+        let mut pe = DeltaEvaluator::new(&inst, Deployment::from_raw([0, 1]));
         let swapped_area = pe.evaluate_swap(0, 1);
         pe.commit_swap(0, 1);
         assert_eq!(pe.base_area(), swapped_area);
@@ -1385,7 +1346,7 @@ mod tests {
         let inst = b.build().unwrap();
         let eval = ObjectiveEvaluator::new(&inst);
         let base = Deployment::identity(n);
-        let mut pe = PrefixEvaluator::new(&inst, base.clone());
+        let mut pe = DeltaEvaluator::new(&inst, base.clone());
         for a in 0..n {
             for bpos in (a + 1)..n {
                 let full = eval.evaluate_area(&base.with_swap(a, bpos));
