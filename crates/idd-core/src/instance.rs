@@ -400,6 +400,7 @@ impl InstanceBuilder {
         }
 
         for idx in &self.indexes {
+            check_finite(|| format!("creation cost of {}", idx.id), idx.creation_cost)?;
             if idx.creation_cost < 0.0 {
                 return Err(CoreError::NegativeValue {
                     what: format!("creation cost of {}", idx.id),
@@ -408,6 +409,17 @@ impl InstanceBuilder {
             }
         }
         for q in &self.queries {
+            check_finite(
+                || format!("original runtime of {}", q.id),
+                q.original_runtime,
+            )?;
+            check_finite(|| format!("weight of {}", q.id), q.weight)?;
+            // Finite factors can still overflow; every solver reads the
+            // product.
+            check_finite(
+                || format!("weighted runtime of {}", q.id),
+                q.weighted_runtime(),
+            )?;
             if q.original_runtime < 0.0 {
                 return Err(CoreError::NegativeValue {
                     what: format!("original runtime of {}", q.id),
@@ -426,6 +438,7 @@ impl InstanceBuilder {
             if plan.query.raw() >= self.queries.len() {
                 return Err(CoreError::UnknownQuery(plan.query));
             }
+            check_finite(|| format!("speed-up of {}", plan.id), plan.speedup)?;
             if plan.speedup < 0.0 {
                 return Err(CoreError::NegativeValue {
                     what: format!("speed-up of {}", plan.id),
@@ -465,6 +478,10 @@ impl InstanceBuilder {
             if bi.target == bi.helper {
                 return Err(CoreError::SelfInteraction(bi.target));
             }
+            check_finite(
+                || format!("build interaction speed-up on {}", bi.target),
+                bi.speedup,
+            )?;
             if bi.speedup < 0.0 {
                 return Err(CoreError::NegativeValue {
                     what: format!("build interaction speed-up on {}", bi.target),
@@ -521,6 +538,18 @@ impl InstanceBuilder {
             plans_by_index,
             helpers_by_target,
             targets_by_helper,
+        })
+    }
+}
+
+/// Rejects NaN and ±∞: `< 0.0` range checks let NaN through.
+fn check_finite(what: impl FnOnce() -> String, value: f64) -> Result<()> {
+    if value.is_finite() {
+        Ok(())
+    } else {
+        Err(CoreError::NonFiniteValue {
+            what: what(),
+            value,
         })
     }
 }
@@ -692,6 +721,78 @@ mod tests {
         assert_eq!(inst.query_runtime(QueryId::new(0)), 30.0);
         assert_eq!(inst.plan_speedup(PlanId::new(0)), 12.0);
         assert_eq!(inst.baseline_runtime(), 30.0);
+    }
+
+    /// A one-index, one-query instance whose `field` is `value`.
+    fn with_value(field: &str, value: f64) -> Result<ProblemInstance> {
+        let pick = |name: &str, default: f64| if name == field { value } else { default };
+        let mut b = ProblemInstance::builder("finite");
+        let i0 = b.add_index(pick("cost", 4.0));
+        let i1 = b.add_index(4.0);
+        let mut q = QueryMeta::simple(QueryId::new(0), pick("runtime", 10.0));
+        q.weight = pick("weight", 1.0);
+        let q = b.push_query(q);
+        b.add_plan(q, vec![i0], pick("speedup", 2.0));
+        b.add_build_interaction(i1, i0, pick("interaction", 1.0));
+        b.build()
+    }
+
+    fn assert_non_finite(field: &str, what: &str) {
+        assert!(with_value(field, 3.0).is_ok());
+        for value in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            match with_value(field, value) {
+                Err(CoreError::NonFiniteValue { what: got, .. }) => {
+                    assert!(got.starts_with(what), "{field}={value}: {got}")
+                }
+                other => panic!("{field}={value} gave {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn rejects_non_finite_creation_cost() {
+        assert_non_finite("cost", "creation cost");
+    }
+
+    #[test]
+    fn rejects_non_finite_original_runtime() {
+        assert_non_finite("runtime", "original runtime");
+    }
+
+    #[test]
+    fn rejects_non_finite_weight() {
+        assert_non_finite("weight", "weight");
+        // Finite factors whose product overflows are rejected too.
+        let mut b = ProblemInstance::builder("overflow");
+        b.add_index(1.0);
+        let mut q = QueryMeta::simple(QueryId::new(0), 1e200);
+        q.weight = 1e200;
+        b.push_query(q);
+        assert!(matches!(
+            b.build(),
+            Err(CoreError::NonFiniteValue { what, .. }) if what.starts_with("weighted runtime")
+        ));
+    }
+
+    #[test]
+    fn rejects_non_finite_plan_speedup() {
+        assert_non_finite("speedup", "speed-up");
+    }
+
+    #[test]
+    fn rejects_non_finite_interaction_speedup() {
+        assert_non_finite("interaction", "build interaction speed-up");
+    }
+
+    #[test]
+    fn json_path_rejects_non_finite_values() {
+        let json = serde_json::to_string(&competing_example()).unwrap();
+        let key = "\"creation_cost\":";
+        let at = json.find(key).unwrap() + key.len();
+        let end = at + json[at..].find([',', '}']).unwrap();
+        let hostile = format!("{}1e999{}", &json[..at], &json[end..]);
+        let err = serde_json::from_str::<ProblemInstance>(&hostile).unwrap_err();
+        assert!(err.to_string().contains("must be finite"), "{err}");
     }
 
     #[test]

@@ -20,9 +20,8 @@
 //! improving swaps as destroy-neighbourhood hints for LNS workers.
 
 use crate::anytime::Trajectory;
-use crate::budget::SearchBudget;
+use crate::budget::{BudgetClock, SearchBudget};
 use crate::constraints::OrderConstraints;
-use crate::greedy::GreedySolver;
 use crate::local::{swap_is_feasible, Cooperator};
 use crate::result::{SolveOutcome, SolveResult};
 use crate::solver::{SolveContext, Solver};
@@ -106,9 +105,21 @@ impl TabuSolver {
         initial: Deployment,
         ctx: &SolveContext,
     ) -> SolveResult {
+        let clock = self.config.budget.start_cancellable(ctx.cancel_token());
+        self.search(instance, initial, ctx, clock)
+    }
+
+    /// The search proper, on a `clock` its caller started: everything
+    /// from solver entry is charged to the budget.
+    fn search(
+        &self,
+        instance: &ProblemInstance,
+        initial: Deployment,
+        ctx: &SolveContext,
+        mut clock: BudgetClock,
+    ) -> SolveResult {
         let n = instance.num_indexes();
         let constraints = OrderConstraints::from_instance(instance);
-        let mut clock = self.config.budget.start_cancellable(ctx.cancel_token());
         let mut rng = ChaCha8Rng::seed_from_u64(self.config.seed);
 
         // Best-swap scans are the delta evaluator's home turf: every
@@ -245,23 +256,28 @@ impl Solver for TabuSolver {
     }
 
     /// Starts from the interaction-guided greedy order (the paper's setup
-    /// for every local search) and improves it under `budget`.
+    /// for every local search; see [`SolveContext::greedy_seed`]) and
+    /// improves it under `budget`, which the seed is charged to.
     fn run(
         &self,
         instance: &ProblemInstance,
         budget: SearchBudget,
         ctx: &SolveContext,
     ) -> SolveResult {
-        let initial = GreedySolver::new().construct(instance);
+        // The clock starts before the seed is fetched or built, so the
+        // seed is charged to the budget.
+        let clock = budget.start_cancellable(ctx.cancel_token());
+        let initial = ctx.greedy_seed(instance);
         let mut config = self.config.clone();
         config.budget = budget;
-        TabuSolver::with_config(config).solve_in(instance, initial, ctx)
+        TabuSolver::with_config(config).search(instance, initial, ctx, clock)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::greedy::GreedySolver;
     use idd_core::{IndexId, ObjectiveEvaluator};
 
     fn instance() -> ProblemInstance {

@@ -17,10 +17,9 @@
 //! for LNS workers to steal.
 
 use crate::anytime::Trajectory;
-use crate::budget::SearchBudget;
+use crate::budget::{BudgetClock, SearchBudget};
 use crate::constraints::OrderConstraints;
 use crate::exact::bounds::LowerBound;
-use crate::greedy::GreedySolver;
 use crate::local::{reinsert, shift_is_feasible, Cooperator};
 use crate::properties::{self, AnalysisOptions};
 use crate::result::{SolveOutcome, SolveResult};
@@ -121,12 +120,24 @@ impl VnsSolver {
         initial: Deployment,
         ctx: &SolveContext,
     ) -> SolveResult {
-        let n = instance.num_indexes();
         let analysis = properties::analyze(instance, self.config.analysis);
-        let constraints: &OrderConstraints = &analysis.constraints;
+        let clock = self.config.budget.start_cancellable(ctx.cancel_token());
+        self.search(instance, initial, &analysis.constraints, ctx, clock)
+    }
+
+    /// The search proper, under `constraints` and on a `clock` its caller
+    /// started.
+    fn search(
+        &self,
+        instance: &ProblemInstance,
+        initial: Deployment,
+        constraints: &OrderConstraints,
+        ctx: &SolveContext,
+        mut clock: BudgetClock,
+    ) -> SolveResult {
+        let n = instance.num_indexes();
         let bound = LowerBound::new(instance);
         let mut rng = ChaCha8Rng::seed_from_u64(self.config.seed);
-        let mut clock = self.config.budget.start_cancellable(ctx.cancel_token());
 
         // The delta evaluator both canonicalizes every objective this member
         // publishes and powers the shift-descent polish below.
@@ -301,24 +312,30 @@ impl Solver for VnsSolver {
         "vns"
     }
 
-    /// Starts from the interaction-guided greedy order and improves it under
-    /// `budget`.
+    /// Starts from the interaction-guided greedy order (see
+    /// [`SolveContext::greedy_seed`]) and improves it under `budget`, which
+    /// the seed and the property analysis are charged to.
     fn run(
         &self,
         instance: &ProblemInstance,
         budget: SearchBudget,
         ctx: &SolveContext,
     ) -> SolveResult {
-        let initial = GreedySolver::new().construct(instance);
+        // The clock starts before the seed is fetched or built, so the
+        // seed and the property analysis are charged to the budget.
+        let clock = budget.start_cancellable(ctx.cancel_token());
+        let initial = ctx.greedy_seed(instance);
+        let analysis = properties::analyze(instance, self.config.analysis);
         let mut config = self.config.clone();
         config.budget = budget;
-        VnsSolver::with_config(config).solve_in(instance, initial, ctx)
+        VnsSolver::with_config(config).search(instance, initial, &analysis.constraints, ctx, clock)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::greedy::GreedySolver;
     use crate::local::lns::LnsSolver;
     use idd_core::ObjectiveEvaluator;
 

@@ -172,7 +172,8 @@ impl PortfolioSolver {
     /// uninstrumented one. With a recording handle, each member gets its
     /// own track (`solver/<index>-<name>`) carrying a wall-clock `run`
     /// span, incumbent-publish / restart / adoption / hint marks, and
-    /// end-of-run counters.
+    /// end-of-run counters. The race's one greedy-seed construction, if a
+    /// member asked for it, is a `seed` span on a `solver/seed` track.
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
         self.telemetry = telemetry;
         self
@@ -226,8 +227,9 @@ impl PortfolioSolver {
         let clock = SearchBudget::unlimited().start();
         // Apply the configured policy without mutating the caller's context:
         // the derived handle shares the cancel token, incumbent cell and
-        // hint deque, so outer cancellation and observation still work.
-        let ctx = &ctx.with_policy(self.config.cooperation);
+        // hint deque, so outer cancellation and observation still work, and
+        // holds this race's own seed cell.
+        let ctx = &ctx.for_race(self.config.cooperation, instance);
         // Register member tracks on this thread, in member order, *before*
         // spawning: track ids are then deterministic regardless of how the
         // OS schedules the race.
@@ -274,6 +276,17 @@ impl PortfolioSolver {
                 .collect()
         });
 
+        // The seed was built on whichever member thread asked first, so its
+        // span gets a track of its own, registered here after the join: its
+        // id is then deterministic too.
+        if let Some((started, finished)) = ctx.seed_interval() {
+            if self.telemetry.is_enabled() {
+                self.telemetry
+                    .register("solver/seed")
+                    .recorder()
+                    .span_between("seed", started, finished);
+            }
+        }
         let combined = Self::combine(&members, clock.elapsed_seconds());
         PortfolioOutcome { combined, members }
     }
@@ -444,6 +457,63 @@ mod tests {
         });
         // The scope joined, so the unlimited-budget members really stopped.
         assert_eq!(done.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn a_race_builds_its_seed_once_and_traces_it_on_a_track_of_its_own() {
+        use idd_telemetry::EventKind;
+        let inst = instance(9);
+        let telemetry = Telemetry::recording();
+        let caller = telemetry.register("caller");
+        let guard = caller.install();
+        let outcome = PortfolioSolver::recommended(SearchBudget::nodes(50))
+            .with_telemetry(telemetry.clone())
+            .solve_detailed(&inst);
+        drop(guard);
+        let stream = telemetry.drain();
+        let seeds: Vec<_> = stream
+            .events
+            .iter()
+            .filter(|e| matches!(&e.kind, EventKind::SpanBegin { name } if name == "seed"))
+            .collect();
+        // Greedy, VNS and tabu all start from the seed; one span shows it
+        // was built once, and it sits on the race's seed track, not inside
+        // whatever the caller has open.
+        assert_eq!(seeds.len(), 1);
+        assert_eq!(stream.track_name(seeds[0].track), "solver/seed");
+        assert_eq!(stream.events_for(caller.id()).count(), 0);
+        let greedy = GreedySolver::new().construct(&inst);
+        assert_eq!(
+            outcome.members[0].deployment.as_ref().unwrap().order(),
+            greedy.order()
+        );
+    }
+
+    #[test]
+    fn an_uninstrumented_race_leaves_the_callers_track_alone() {
+        let telemetry = Telemetry::recording();
+        let caller = telemetry.register("caller");
+        let guard = caller.install();
+        PortfolioSolver::recommended(SearchBudget::nodes(50)).solve_detailed(&instance(9));
+        drop(guard);
+        assert!(telemetry.drain().is_empty());
+    }
+
+    #[test]
+    fn race_contexts_never_share_a_seed_across_instances() {
+        // One caller context, two races on different instances: each race
+        // gets its own seed cell.
+        let ctx = SolveContext::new();
+        let portfolio = PortfolioSolver::with_members(
+            SearchBudget::nodes(10),
+            vec![Box::new(GreedySolver::new())],
+        );
+        for n in [5, 8] {
+            let inst = instance(n);
+            let outcome = portfolio.solve_detailed_in(&inst, &ctx);
+            let order = outcome.members[0].deployment.as_ref().unwrap();
+            assert_eq!(order.order(), GreedySolver::new().construct(&inst).order());
+        }
     }
 
     #[test]

@@ -12,19 +12,20 @@
 use crate::constraints::OrderConstraints;
 use idd_core::{IndexId, ObjectiveEvaluator, ProblemInstance};
 
-/// Enumerates feasible tail sequences of length `len` under `constraints`.
-/// A sequence `[a, b, c]` means `a` is at position `n-3`, `c` at `n-1`.
-fn enumerate_tails(
+/// Calls `visit` on every feasible tail sequence of length `len` under
+/// `constraints`, in enumeration order, until `visit` returns `false`. A
+/// sequence `[a, b, c]` means `a` is at position `n-3`, `c` at `n-1`.
+/// Returns `false` when `visit` stopped the enumeration.
+fn for_each_tail(
     instance: &ProblemInstance,
     constraints: &OrderConstraints,
     len: usize,
-    budget: usize,
-) -> Option<Vec<Vec<IndexId>>> {
+    visit: &mut dyn FnMut(&[IndexId]) -> bool,
+) -> bool {
     let n = instance.num_indexes();
     if len == 0 || len > n {
-        return Some(Vec::new());
+        return true;
     }
-    let mut result: Vec<Vec<IndexId>> = Vec::new();
     // Build backwards from the last position: an index can occupy the
     // currently-last open slot when every index it must precede is already
     // placed in a later slot.
@@ -33,15 +34,14 @@ fn enumerate_tails(
         constraints: &OrderConstraints,
         len: usize,
         suffix: &mut Vec<IndexId>,
+        tail: &mut Vec<IndexId>,
         used: &mut Vec<bool>,
-        result: &mut Vec<Vec<IndexId>>,
-        budget: usize,
+        visit: &mut dyn FnMut(&[IndexId]) -> bool,
     ) -> bool {
         if suffix.len() == len {
-            let mut tail: Vec<IndexId> = suffix.clone();
-            tail.reverse();
-            result.push(tail);
-            return result.len() <= budget;
+            tail.clear();
+            tail.extend(suffix.iter().rev());
+            return visit(tail);
         }
         for raw in 0..n {
             let candidate = IndexId::new(raw);
@@ -49,16 +49,14 @@ fn enumerate_tails(
                 continue;
             }
             // Every successor of the candidate must already be in the suffix.
-            let ok = constraints
-                .successors(candidate)
-                .iter()
-                .all(|s| used[s.raw()]);
+            let ok =
+                (0..n).all(|s| used[s] || !constraints.must_precede(candidate, IndexId::new(s)));
             if !ok {
                 continue;
             }
             used[raw] = true;
             suffix.push(candidate);
-            let cont = recurse(n, constraints, len, suffix, used, result, budget);
+            let cont = recurse(n, constraints, len, suffix, tail, used, visit);
             suffix.pop();
             used[raw] = false;
             if !cont {
@@ -68,22 +66,32 @@ fn enumerate_tails(
         true
     }
 
-    let mut used = vec![false; n];
-    let mut suffix = Vec::new();
-    let within_budget = recurse(
+    recurse(
         n,
         constraints,
         len,
-        &mut suffix,
-        &mut used,
-        &mut result,
-        budget,
-    );
-    if within_budget {
-        Some(result)
-    } else {
-        None
-    }
+        &mut Vec::with_capacity(len),
+        &mut Vec::with_capacity(len),
+        &mut vec![false; n],
+        visit,
+    )
+}
+
+/// Every feasible tail sequence of length `len`, or `None` when there are
+/// more than `budget` of them.
+#[cfg(test)]
+fn enumerate_tails(
+    instance: &ProblemInstance,
+    constraints: &OrderConstraints,
+    len: usize,
+    budget: usize,
+) -> Option<Vec<Vec<IndexId>>> {
+    let mut result: Vec<Vec<IndexId>> = Vec::new();
+    let within_budget = for_each_tail(instance, constraints, len, &mut |tail| {
+        result.push(tail.to_vec());
+        result.len() <= budget
+    });
+    within_budget.then_some(result)
 }
 
 /// Objective contribution of a tail sequence given that every other index is
@@ -122,26 +130,33 @@ pub fn analyze(
         return 0;
     }
     let len = tail_length.min(n).max(1);
-    let tails = match enumerate_tails(instance, constraints, len, budget) {
-        Some(t) if !t.is_empty() => t,
-        _ => return 0,
-    };
+    // Count before materialising anything: an enumeration over `budget` is
+    // abandoned, and on large instances nearly every one is.
+    let mut count = 0usize;
+    let within_budget = for_each_tail(instance, constraints, len, &mut |_| {
+        count += 1;
+        count <= budget
+    });
+    if !within_budget || count == 0 {
+        return 0;
+    }
     let evaluator = ObjectiveEvaluator::new(instance);
 
     // Group by tail set; keep the champion (smallest tail objective).
     use std::collections::HashMap;
     let mut champions: HashMap<Vec<usize>, (f64, Vec<IndexId>)> = HashMap::new();
-    for tail in tails {
+    for_each_tail(instance, constraints, len, &mut |tail| {
         let mut key: Vec<usize> = tail.iter().map(|i| i.raw()).collect();
         key.sort_unstable();
-        let objective = tail_objective(instance, &evaluator, &tail);
+        let objective = tail_objective(instance, &evaluator, tail);
         match champions.get(&key) {
             Some((best, _)) if *best <= objective => {}
             _ => {
-                champions.insert(key, (objective, tail));
+                champions.insert(key, (objective, tail.to_vec()));
             }
         }
-    }
+        true
+    });
 
     // Does one index close every champion?
     let mut last_indexes = champions.values().map(|(_, tail)| *tail.last().unwrap());

@@ -25,7 +25,10 @@
 //!   published by the local searches, stolen by LNS workers on other threads;
 //! * a [`CooperationPolicy`] — how much of the above the members may *read*
 //!   ([`CooperationPolicy::Off`] reproduces the pre-cooperation race
-//!   bit-for-bit).
+//!   bit-for-bit);
+//! * inside a portfolio race, the race's greedy seed
+//!   ([`SolveContext::greedy_seed`]): the first member that asks builds it,
+//!   the others wait for it and start from the same order.
 //!
 //! Exact solvers only ever *publish* to the shared incumbent; they never use
 //! it to prune their own search. Pruning against a bound whose deployment
@@ -36,11 +39,13 @@
 //! same instance, never a bound), which preserves that soundness argument.
 
 use crate::budget::SearchBudget;
+use crate::greedy::GreedySolver;
 use crate::result::SolveResult;
-use idd_core::{IndexId, ProblemInstance};
+use idd_core::{Deployment, IndexId, ProblemInstance};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
+use std::time::Instant;
 
 /// A cooperative cancellation flag shared between solver threads.
 ///
@@ -424,9 +429,26 @@ impl NeighborhoodHints {
     }
 }
 
+/// A race's greedy seed and the wall interval its construction took.
+#[derive(Debug)]
+struct Seed {
+    order: Deployment,
+    started: Instant,
+    finished: Instant,
+}
+
+/// A race's seed cell, bound to the one instance the race solves.
+#[derive(Debug)]
+struct RaceSeed {
+    /// Address of the race's instance, which outlives the race.
+    instance: usize,
+    cell: OnceLock<Seed>,
+}
+
 /// Shared state for one (possibly concurrent) solve: a cancellation token,
-/// the cross-thread versioned incumbent, the hint deque, and the cooperation
-/// policy governing who may read what.
+/// the cross-thread versioned incumbent, the hint deque, the cooperation
+/// policy governing who may read what, and — inside a portfolio race — the
+/// race's greedy seed.
 ///
 /// Cloning shares everything — clones are handles onto the same race.
 #[derive(Debug, Clone, Default)]
@@ -435,6 +457,9 @@ pub struct SolveContext {
     incumbent: Arc<SharedIncumbent>,
     hints: Arc<NeighborhoodHints>,
     cooperation: CooperationPolicy,
+    /// The race's seed cell, filled by the first member that asks for the
+    /// race's instance. `None` outside a race.
+    seed: Option<Arc<RaceSeed>>,
 }
 
 impl SolveContext {
@@ -452,17 +477,54 @@ impl SolveContext {
         }
     }
 
-    /// A handle onto the *same* shared state (cancel token, incumbent,
-    /// hints) but with a different cooperation policy. The portfolio uses
-    /// this to apply its configured policy without mutating the caller's
-    /// context.
-    pub fn with_policy(&self, cooperation: CooperationPolicy) -> Self {
+    /// The per-race context a portfolio derives from the caller's: it
+    /// shares the cancel token, incumbent and hints (so outer cancellation
+    /// and observation still work), applies the race's policy, and carries
+    /// a fresh seed cell bound to `instance`, the race's one instance.
+    pub(crate) fn for_race(
+        &self,
+        cooperation: CooperationPolicy,
+        instance: &ProblemInstance,
+    ) -> Self {
         Self {
-            cancel: self.cancel.clone(),
-            incumbent: Arc::clone(&self.incumbent),
-            hints: Arc::clone(&self.hints),
             cooperation,
+            seed: Some(Arc::new(RaceSeed {
+                instance: instance as *const ProblemInstance as usize,
+                cell: OnceLock::new(),
+            })),
+            ..self.clone()
         }
+    }
+
+    /// The interaction-guided greedy order for `instance`: the seed every
+    /// local search starts from. Inside a portfolio race, for the race's
+    /// instance, the first member that asks builds it and the others block
+    /// until it is ready, so a race builds it once. Any other call — a
+    /// standalone context, or a member asking for some other instance
+    /// under the race's context — builds a fresh seed.
+    pub fn greedy_seed(&self, instance: &ProblemInstance) -> Deployment {
+        match &self.seed {
+            Some(race) if race.instance == instance as *const ProblemInstance as usize => {
+                let seed = race.cell.get_or_init(|| {
+                    let started = Instant::now();
+                    let order = GreedySolver::new().construct(instance);
+                    Seed {
+                        order,
+                        started,
+                        finished: Instant::now(),
+                    }
+                });
+                seed.order.clone()
+            }
+            _ => GreedySolver::new().construct(instance),
+        }
+    }
+
+    /// The wall interval of the race's seed construction, once a member
+    /// has built it.
+    pub(crate) fn seed_interval(&self) -> Option<(Instant, Instant)> {
+        let seed = self.seed.as_ref()?.cell.get()?;
+        Some((seed.started, seed.finished))
     }
 
     /// The cancellation token.
@@ -790,10 +852,15 @@ mod tests {
 
     #[test]
     fn policy_override_shares_state_but_not_policy() {
+        let mut b = ProblemInstance::builder("race");
+        let i0 = b.add_index(1.0);
+        let q = b.add_query(10.0);
+        b.add_plan(q, vec![i0], 2.0);
+        let inst = b.build().unwrap();
         let ctx = SolveContext::new();
         assert_eq!(ctx.cooperation(), CooperationPolicy::Off);
         assert!(!ctx.cooperation().warm_starts());
-        let coop = ctx.with_policy(CooperationPolicy::WarmStart);
+        let coop = ctx.for_race(CooperationPolicy::WarmStart, &inst);
         assert!(coop.cooperation().warm_starts());
         assert!(!coop.cooperation().steals());
         // Same underlying incumbent and cancel token.
@@ -802,5 +869,34 @@ mod tests {
         assert_eq!(ctx.incumbent().epoch(), 1);
         ctx.cancel_token().cancel();
         assert!(coop.is_cancelled());
+    }
+
+    #[test]
+    fn a_race_seed_serves_only_the_race_instance() {
+        let build = |name: &str, n: usize| {
+            let mut b = ProblemInstance::builder(name);
+            let idx: Vec<IndexId> = (0..n).map(|k| b.add_index(1.0 + k as f64)).collect();
+            for (k, &i) in idx.iter().enumerate() {
+                let q = b.add_query(10.0 + k as f64);
+                b.add_plan(q, vec![i], 2.0);
+            }
+            b.build().unwrap()
+        };
+        let race_instance = build("race", 4);
+        let other = build("other", 3);
+        let ctx = SolveContext::new().for_race(CooperationPolicy::Off, &race_instance);
+        assert!(ctx.seed_interval().is_none());
+        // Another instance under the race's context gets its own seed and
+        // leaves the race's cell empty.
+        let seed = ctx.greedy_seed(&other);
+        assert_eq!(seed.order(), GreedySolver::new().construct(&other).order());
+        assert!(ctx.seed_interval().is_none());
+        let seed = ctx.greedy_seed(&race_instance);
+        assert_eq!(seed.len(), 4);
+        let built = ctx.seed_interval().unwrap();
+        ctx.greedy_seed(&race_instance);
+        assert_eq!(ctx.seed_interval(), Some(built));
+        // A standalone context has no cell.
+        assert!(SolveContext::new().seed_interval().is_none());
     }
 }

@@ -187,8 +187,8 @@ impl Collector {
         }
     }
 
-    fn wall_us(&self) -> u64 {
-        self.start.elapsed().as_micros() as u64
+    fn wall_us(&self, at: Instant) -> u64 {
+        at.saturating_duration_since(self.start).as_micros() as u64
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, CollectorState> {
@@ -319,6 +319,17 @@ pub struct TrackRecorder {
 
 impl TrackRecorder {
     fn push(&mut self, clock: Option<f64>, epoch: Option<u64>, kind: EventKind) {
+        self.push_at(None, clock, epoch, kind);
+    }
+
+    /// Pushes an event stamped with the wall time `at` (now when `None`).
+    fn push_at(
+        &mut self,
+        at: Option<Instant>,
+        clock: Option<f64>,
+        epoch: Option<u64>,
+        kind: EventKind,
+    ) {
         let Some(collector) = &self.collector else {
             return;
         };
@@ -328,7 +339,7 @@ impl TrackRecorder {
             track: self.track,
             seq,
             clock,
-            wall_us: collector.wall_us(),
+            wall_us: collector.wall_us(at.unwrap_or_else(Instant::now)),
             epoch,
             kind,
         });
@@ -429,6 +440,25 @@ impl TrackRecorder {
             EventKind::SpanEnd {
                 name: name.to_string(),
             },
+        );
+    }
+
+    /// Records, after the fact, a wall-clock span that ran from `start` to
+    /// `end` — for work another thread did on this track's behalf. It nests
+    /// inside whatever span is open here.
+    pub fn span_between(&mut self, name: &str, start: Instant, end: Instant) {
+        let name = name.to_string();
+        self.push_at(
+            Some(start),
+            None,
+            None,
+            EventKind::SpanBegin { name: name.clone() },
+        );
+        self.push_at(
+            Some(end.max(start)),
+            None,
+            None,
+            EventKind::SpanEnd { name },
         );
     }
 
@@ -582,6 +612,22 @@ impl TraceStream {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn span_between_stamps_the_given_interval() {
+        let telemetry = Telemetry::recording();
+        let track = telemetry.register("seed");
+        let start = Instant::now();
+        let end = start + std::time::Duration::from_millis(5);
+        track.recorder().span_between("seed", start, end);
+        let stream = telemetry.drain();
+        let events: Vec<_> = stream.events_for(track.id()).collect();
+        assert_eq!(events.len(), 2);
+        assert_eq!(events[0].kind.name(), "seed");
+        assert!(matches!(events[0].kind, EventKind::SpanBegin { .. }));
+        assert!(matches!(events[1].kind, EventKind::SpanEnd { .. }));
+        assert_eq!(events[1].wall_us - events[0].wall_us, 5_000);
+    }
 
     #[test]
     fn off_handles_record_nothing() {
