@@ -67,7 +67,7 @@ pub use journal::{
 pub use matrix::{MatrixFile, SoaView};
 pub use objective::{
     DeltaEvaluator, ObjectiveEvaluator, ObjectiveStepper, ObjectiveValue, StepMetrics,
-    SuffixReplayEvaluator,
+    SuffixReplayEvaluator, SwapRow,
 };
 pub use plan::QueryPlan;
 pub use query::QueryMeta;

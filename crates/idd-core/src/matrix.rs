@@ -9,8 +9,9 @@
 //! [`SoaView`] is the same data flattened into a struct-of-arrays (CSR)
 //! layout for the local-search inner loop: every adjacency the delta
 //! evaluator walks (index → plans, plan → members, query → plans, target →
-//! helpers) is a contiguous `u32`/`f64` slice, so a move evaluation touches
-//! a handful of cache lines instead of chasing `Vec<Vec<…>>` pointers.
+//! helpers, helper → targets) is a contiguous `u32`/`f64` slice, so a move
+//! evaluation touches a handful of cache lines instead of chasing
+//! `Vec<Vec<…>>` pointers.
 
 use crate::error::{CoreError, Result};
 use crate::instance::ProblemInstance;
@@ -124,6 +125,9 @@ pub struct SoaView {
     helpers_off: Vec<u32>,
     helper_ids: Vec<u32>,
     helper_savings: Vec<f64>,
+    // helper index → targets it discounts
+    targets_off: Vec<u32>,
+    target_ids: Vec<u32>,
     // per-index scalars
     creation_cost: Vec<f64>,
     baseline_runtime: f64,
@@ -141,9 +145,12 @@ impl SoaView {
         let mut helpers_off = Vec::with_capacity(n + 1);
         let mut helper_ids = Vec::new();
         let mut helper_savings = Vec::new();
+        let mut targets_off = Vec::with_capacity(n + 1);
+        let mut target_ids = Vec::new();
         let mut creation_cost = Vec::with_capacity(n);
         plans_by_index_off.push(0);
         helpers_off.push(0);
+        targets_off.push(0);
         for i in 0..n {
             let id = IndexId::new(i);
             plans_by_index.extend(
@@ -158,6 +165,8 @@ impl SoaView {
                 helper_savings.push(saving);
             }
             helpers_off.push(helper_ids.len() as u32);
+            target_ids.extend(instance.helps(id).iter().map(|&(t, _)| t.raw() as u32));
+            targets_off.push(target_ids.len() as u32);
             creation_cost.push(instance.creation_cost(id));
         }
 
@@ -205,6 +214,8 @@ impl SoaView {
             helpers_off,
             helper_ids,
             helper_savings,
+            targets_off,
+            target_ids,
             creation_cost,
             baseline_runtime: instance.baseline_runtime(),
         }
@@ -273,6 +284,13 @@ impl SoaView {
         let lo = self.helpers_off[i] as usize;
         let hi = self.helpers_off[i + 1] as usize;
         (&self.helper_ids[lo..hi], &self.helper_savings[lo..hi])
+    }
+
+    /// Build-interaction targets of helper index `i` (the indexes whose
+    /// build cost `i` discounts).
+    #[inline]
+    pub(crate) fn targets(&self, i: usize) -> &[u32] {
+        &self.target_ids[self.targets_off[i] as usize..self.targets_off[i + 1] as usize]
     }
 
     /// Base creation cost of index `i`.

@@ -13,7 +13,7 @@ pub use crate::interaction::{BuildInteraction, Precedence};
 pub use crate::matrix::{MatrixFile, SoaView};
 pub use crate::objective::{
     DeltaEvaluator, ObjectiveEvaluator, ObjectiveStepper, ObjectiveValue, StepMetrics,
-    SuffixReplayEvaluator,
+    SuffixReplayEvaluator, SwapRow,
 };
 pub use crate::plan::QueryPlan;
 pub use crate::query::QueryMeta;

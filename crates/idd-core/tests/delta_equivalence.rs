@@ -15,6 +15,11 @@
 //! * whole-order replacement (cooperative warm-start adoption),
 //! * long random sequences interleaving evaluations with commits, which
 //!   would expose any stale per-position cache left behind by `commit_*`.
+//!
+//! Every base whose pair swaps are probed exhaustively also has every row of
+//! the swap-row kernel (`DeltaEvaluator::swap_row`, the best-swap tabu scan)
+//! checked against the same from-scratch areas, after commit chains and
+//! `set_base` too.
 
 use idd_core::{
     DeltaEvaluator, Deployment, IndexId, InstanceBuilder, ObjectiveEvaluator, ProblemInstance,
@@ -169,6 +174,29 @@ fn assert_bits(label: &str, got: f64, want: f64) {
     );
 }
 
+/// Every row of the swap-row kernel on `delta`'s base equals the
+/// from-scratch area of the swapped order. Odd rows are visited with `hi`
+/// descending: a row answers its pairs in any order.
+fn assert_rows_match(label: &str, delta: &mut DeltaEvaluator, full: &ObjectiveEvaluator) {
+    let base = delta.base().clone();
+    let n = base.len();
+    for lo in 0..n {
+        let mut his: Vec<usize> = (lo + 1..n).collect();
+        if lo % 2 == 1 {
+            his.reverse();
+        }
+        let mut row = delta.swap_row(lo);
+        for hi in his {
+            let want = full.evaluate_area(&base.with_swap(lo, hi));
+            assert_bits(
+                &format!("{label}: row swap ({lo}, {hi})"),
+                row.area(hi),
+                want,
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -190,6 +218,15 @@ proptest! {
                 assert_bits("swap (repeat probe)", delta.evaluate_swap(a, b), want);
             }
         }
+        assert_rows_match("base", &mut delta, &full);
+        // Probing rows does not disturb the evaluator.
+        assert_bits("base after rows", delta.base_area(), full.evaluate_area(&base));
+        assert_rows_match("base (again)", &mut delta, &full);
+        // A fresh base through `set_base` rebuilds the row tables.
+        let reversed = Deployment::new(base.order().iter().rev().copied().collect());
+        delta.set_base(reversed.clone());
+        assert_bits("set_base", delta.base_area(), full.evaluate_area(&reversed));
+        assert_rows_match("after set_base", &mut delta, &full);
     }
 
     /// Every relocation reproduces `Deployment::relocate` + full evaluation
@@ -303,11 +340,13 @@ proptest! {
                     current = next;
                 }
             }
-            // The committed state must stay exact after every step.
+            // The committed state must stay exact after every step, and so
+            // must every row scanned on it.
             let want = full.evaluate_area(&current);
             assert_bits("episode base", delta.base_area(), want);
             assert_bits("episode oracle base", oracle.base_area(), want);
             prop_assert_eq!(delta.base().order(), current.order());
+            assert_rows_match("episode", &mut delta, &full);
         }
     }
 }

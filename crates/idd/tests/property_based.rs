@@ -2,8 +2,8 @@
 //!
 //! These check the invariants the whole system leans on:
 //!
-//! * the incremental evaluators agree with the from-scratch evaluator on
-//!   arbitrary orders and arbitrary swaps;
+//! * the incremental evaluators (and the swap-row kernel) agree with the
+//!   from-scratch evaluator on arbitrary orders and arbitrary swaps;
 //! * the objective area always equals the area under the improvement curve;
 //! * every solver returns a valid permutation that respects precedences;
 //! * the Section-5 property analysis never removes all optimal solutions
@@ -119,6 +119,16 @@ proptest! {
                 // The delta path is exact, not merely close.
                 prop_assert!(expected.to_bits() == got.to_bits(),
                     "swap {a},{b}: {expected} vs {got}");
+            }
+        }
+        // The swap-row kernel of the best-swap tabu scan: the same areas.
+        for a in 0..n {
+            let mut row = delta.swap_row(a);
+            for b in (a + 1)..n {
+                let expected = evaluator.evaluate_area(&base.with_swap(a, b));
+                let got = row.area(b);
+                prop_assert!(expected.to_bits() == got.to_bits(),
+                    "row swap {a},{b}: {expected} vs {got}");
             }
         }
     }

@@ -324,6 +324,50 @@ pub(crate) fn swap_is_feasible(
     true
 }
 
+/// [`swap_is_feasible`] for every pair of one order in O(1) each, for a scan
+/// that visits `swap(lo, hi)` row by row with `hi` ascending (the best-swap
+/// tabu scan). Built once per order in `O(n²)` closure lookups, or `O(n)`
+/// when there are no precedences.
+pub(crate) struct RowFeasibility<'c> {
+    constraints: &'c OrderConstraints,
+    /// Per position `k`: 1 + the position of the last index before `k` that
+    /// must precede `order[k]` (0: none). Empty without precedences.
+    last_pred: Vec<usize>,
+}
+
+impl<'c> RowFeasibility<'c> {
+    pub fn new(constraints: &'c OrderConstraints, order: &[IndexId]) -> Self {
+        let last_pred = if constraints.num_ordered_pairs() == 0 {
+            Vec::new()
+        } else {
+            (0..order.len())
+                .map(|k| {
+                    (0..k)
+                        .rev()
+                        .find(|&j| constraints.must_precede(order[j], order[k]))
+                        .map_or(0, |j| j + 1)
+                })
+                .collect()
+        };
+        Self {
+            constraints,
+            last_pred,
+        }
+    }
+
+    /// `true` when `order[lo]` must precede `order[hi]`: this pair and every
+    /// later pair of the row would move `order[hi]` before `order[lo]`.
+    pub fn row_ends(&self, order: &[IndexId], lo: usize, hi: usize) -> bool {
+        !self.last_pred.is_empty() && self.constraints.must_precede(order[lo], order[hi])
+    }
+
+    /// Whether `swap(lo, hi)` is feasible, in a row that did not end before
+    /// `hi`: no index in `[lo, hi)` must precede `order[hi]`.
+    pub fn allows(&self, lo: usize, hi: usize) -> bool {
+        self.last_pred.is_empty() || self.last_pred[hi] <= lo
+    }
+}
+
 /// Checks whether relocating the index at `from` to position `to` (the
 /// [`Deployment::relocate`](idd_core::Deployment) move scored by
 /// [`DeltaEvaluator::evaluate_shift`](idd_core::DeltaEvaluator)) keeps the
@@ -471,6 +515,49 @@ mod tests {
         assert!(!swap_is_feasible(&constraints, &order, 0, 2)); // i2 before i0: no
         assert!(swap_is_feasible(&constraints, &order, 0, 1)); // i1 before i0: fine
         assert!(swap_is_feasible(&constraints, &order, 1, 1));
+    }
+
+    #[test]
+    fn row_feasibility_matches_swap_is_feasible_on_every_pair() {
+        use rand::prelude::*;
+        use rand_chacha::ChaCha8Rng;
+        for seed in 0..40u64 {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let n = rng.gen_range(2..=24usize);
+            let mut b = ProblemInstance::builder("row-feasibility");
+            let ids: Vec<IndexId> = (0..n).map(|_| b.add_index(1.0)).collect();
+            let q = b.add_query(10.0);
+            b.add_plan(q, vec![ids[0]], 1.0);
+            // Edges along a random ranking stay acyclic.
+            let mut rank: Vec<usize> = (0..n).collect();
+            rank.shuffle(&mut rng);
+            for _ in 0..rng.gen_range(0..=n) {
+                let (x, y) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                if rank[x] < rank[y] {
+                    b.add_precedence(ids[x], ids[y]);
+                }
+            }
+            let inst = b.build().unwrap();
+            let constraints = OrderConstraints::from_instance(&inst);
+            // Random orders, feasible or not: the two checks must agree.
+            for _ in 0..4 {
+                let mut order = ids.clone();
+                order.shuffle(&mut rng);
+                let rows = RowFeasibility::new(&constraints, &order);
+                for lo in 0..n {
+                    let mut ended = false;
+                    for hi in lo + 1..n {
+                        ended |= rows.row_ends(&order, lo, hi);
+                        let fast = !ended && rows.allows(lo, hi);
+                        assert_eq!(
+                            fast,
+                            swap_is_feasible(&constraints, &order, lo, hi),
+                            "seed {seed}: swap ({lo}, {hi}) of {order:?}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

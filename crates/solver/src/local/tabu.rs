@@ -9,6 +9,30 @@
 //! * **TS-FSwap** scans pairs in a random order and takes the first improving
 //!   swap — much cheaper iterations, lower quality per iteration.
 //!
+//! # The best-swap scan
+//!
+//! An iteration's cost is the row sweep: for each `lo`, one
+//! [`DeltaEvaluator::swap_row`] scores `swap(lo, hi)` for `hi = lo + 1..n`.
+//! A pair still walks its span `(lo, hi]`, but a position costs one level
+//! re-rounding (only where the level or the swap's runtime shift changed)
+//! and one rewritten area term instead of re-deriving every plan
+//! completion: on a 2-core x86-64 VM a scan takes 0.10 s on TPC-DS and
+//! 0.13–0.17 s at n = 256, against 0.26–0.39 s and 0.9 s with one
+//! `evaluate_swap` per pair.
+//! Feasibility is O(1) per pair: a row ends at the first index that
+//! `order[lo]` must precede, and a pair is skipped when a predecessor of
+//! `order[hi]` sits in `[lo, hi)` (a per-iteration table of each position's
+//! last predecessor).
+//!
+//! The moves are those of a pair-by-pair scan with `evaluate_swap`, bit for
+//! bit: the row kernel's areas equal `evaluate_swap`'s (both accumulate
+//! exactly and round once, so each level and area is the correctly rounded
+//! exact value), and the scan visits the same pairs in the same row-major
+//! order with the same strict `<`, tabu and aspiration tests — so the
+//! trajectory matches iteration for iteration (`tests/tabu_differential.rs`
+//! pins it against that reference). TS-FSwap keeps its shuffled pair list
+//! and `evaluate_swap`: its scan order is random.
+//!
 //! Recently swapped indexes are *tabu* for a number of iterations (the tabu
 //! length) unless the move improves on the best solution found so far
 //! (aspiration).
@@ -22,10 +46,10 @@
 use crate::anytime::Trajectory;
 use crate::budget::{BudgetClock, SearchBudget};
 use crate::constraints::OrderConstraints;
-use crate::local::{swap_is_feasible, Cooperator};
+use crate::local::{swap_is_feasible, Cooperator, RowFeasibility};
 use crate::result::{SolveOutcome, SolveResult};
 use crate::solver::{SolveContext, Solver};
-use idd_core::{DeltaEvaluator, Deployment, ProblemInstance};
+use idd_core::{DeltaEvaluator, Deployment, IndexId, ProblemInstance};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 
@@ -122,10 +146,9 @@ impl TabuSolver {
         let constraints = OrderConstraints::from_instance(instance);
         let mut rng = ChaCha8Rng::seed_from_u64(self.config.seed);
 
-        // Best-swap scans are the delta evaluator's home turf: every
-        // adjacent pair is O(1) and a general pair is O(hi - lo), so one
-        // full scan costs O(n²) *positions touched*, not O(n²) evaluations
-        // of O(n) each.
+        // Every move is scored against the delta evaluator's base: the
+        // best-swap scan through its row kernel, the first-swap scan pair by
+        // pair (an adjacent pair is O(1), a general pair O(hi - lo)).
         let mut evaluator = DeltaEvaluator::new(instance, initial.clone());
         let mut best_order = initial;
         let mut best_area = evaluator.base_area();
@@ -164,43 +187,73 @@ impl TabuSolver {
                 trajectory.record(clock.elapsed_seconds(), best_area);
             }
 
-            let current_area = evaluator.base_area();
-
-            // Collect candidate pairs.
-            let mut pairs: Vec<(usize, usize)> = Vec::new();
-            for a in 0..n {
-                for b in (a + 1)..n {
-                    pairs.push((a, b));
-                }
-            }
-            if self.config.strategy == SwapStrategy::First {
-                pairs.shuffle(&mut rng);
-            }
+            // A move is admissible unless tabu; aspiration lets a tabu move
+            // through if it beats the best.
+            let admissible = |ia: IndexId, ib: IndexId, area: f64| {
+                let is_tabu = tabu_until[ia.raw()] > iteration || tabu_until[ib.raw()] > iteration;
+                !(is_tabu && area >= best_area - 1e-12)
+            };
 
             let mut chosen: Option<(usize, usize, f64)> = None;
-            for &(a, b) in &pairs {
-                if clock.exhausted() {
-                    break;
+            match self.config.strategy {
+                SwapStrategy::Best => {
+                    // Row-major over (lo, hi): the same pairs in the same
+                    // order as a pair list, scored by the row kernel.
+                    let order = evaluator.base().order().to_vec();
+                    let feasibility = RowFeasibility::new(&constraints, &order);
+                    'scan: for lo in 0..n - 1 {
+                        let mut row = evaluator.swap_row(lo);
+                        for hi in lo + 1..n {
+                            if clock.exhausted() {
+                                break 'scan;
+                            }
+                            if feasibility.row_ends(&order, lo, hi) {
+                                break;
+                            }
+                            if !feasibility.allows(lo, hi) {
+                                continue;
+                            }
+                            let area = row.area(hi);
+                            if !admissible(order[lo], order[hi], area) {
+                                continue;
+                            }
+                            if chosen.is_none_or(|(_, _, v)| area < v) {
+                                chosen = Some((lo, hi, area));
+                            }
+                        }
+                    }
                 }
-                let order = evaluator.base().order();
-                let ia = order[a];
-                let ib = order[b];
-                if !swap_is_feasible(&constraints, order, a, b) {
-                    continue;
-                }
-                let area = evaluator.evaluate_swap(a, b);
-                let is_tabu = tabu_until[ia.raw()] > iteration || tabu_until[ib.raw()] > iteration;
-                // Aspiration: a tabu move is allowed if it beats the best.
-                if is_tabu && area >= best_area - 1e-12 {
-                    continue;
-                }
-                let better_than_chosen = chosen.map(|(_, _, v)| area < v).unwrap_or(true);
-                if better_than_chosen {
-                    chosen = Some((a, b, area));
-                }
-                if self.config.strategy == SwapStrategy::First && area < current_area - 1e-12 {
-                    chosen = Some((a, b, area));
-                    break;
+                SwapStrategy::First => {
+                    let current_area = evaluator.base_area();
+                    // The shuffled scan order matters here: keep the list.
+                    let mut pairs: Vec<(usize, usize)> = Vec::new();
+                    for a in 0..n {
+                        for b in (a + 1)..n {
+                            pairs.push((a, b));
+                        }
+                    }
+                    pairs.shuffle(&mut rng);
+                    for &(a, b) in &pairs {
+                        if clock.exhausted() {
+                            break;
+                        }
+                        let order = evaluator.base().order();
+                        let (ia, ib) = (order[a], order[b]);
+                        if !swap_is_feasible(&constraints, order, a, b) {
+                            continue;
+                        }
+                        let area = evaluator.evaluate_swap(a, b);
+                        if !admissible(ia, ib, area) {
+                            continue;
+                        }
+                        if chosen.is_none_or(|(_, _, v)| area < v) {
+                            chosen = Some((a, b, area));
+                        }
+                        if area < current_area - 1e-12 {
+                            chosen = Some((a, b, area));
+                            break;
+                        }
+                    }
                 }
             }
 
