@@ -4,7 +4,8 @@
 //! shift neighbourhoods affordable).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use idd_core::{DeltaEvaluator, Deployment, ObjectiveEvaluator, SuffixReplayEvaluator};
+use idd_bench::suffix_replay::SuffixReplayEvaluator;
+use idd_core::{DeltaEvaluator, Deployment, ObjectiveEvaluator};
 use idd_workloads::{SyntheticConfig, SyntheticGenerator};
 
 fn bench_objective(c: &mut Criterion) {

@@ -26,10 +26,9 @@
 //! (timing-free bit-equivalence verdicts on a fixed instance — fully
 //! machine-independent, diffed by the golden test).
 
+use idd_bench::suffix_replay::SuffixReplayEvaluator;
 use idd_bench::{parse_flag_value, BenchJson, BenchRecord, Table};
-use idd_core::{
-    DeltaEvaluator, Deployment, ObjectiveEvaluator, ProblemInstance, SuffixReplayEvaluator,
-};
+use idd_core::{DeltaEvaluator, Deployment, ObjectiveEvaluator, ProblemInstance};
 use idd_workloads::synthetic::{generate, SyntheticConfig};
 
 /// One move of the scan workloads.

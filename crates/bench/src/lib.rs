@@ -28,6 +28,7 @@
 pub mod args;
 pub mod figures;
 pub mod report;
+pub mod suffix_replay;
 
 pub use args::{parse_flag_value, HarnessArgs};
 pub use report::{BenchJson, BenchRecord, BenchSeries, SeriesJson, SeriesPoint, Table};

@@ -39,7 +39,6 @@ pub mod plan;
 pub mod query;
 pub mod reduce;
 pub mod residual;
-pub mod schedule;
 pub mod slotsched;
 pub mod solution;
 pub mod stats;
@@ -66,14 +65,12 @@ pub use journal::{
 };
 pub use matrix::{MatrixFile, SoaView};
 pub use objective::{
-    DeltaEvaluator, ObjectiveEvaluator, ObjectiveStepper, ObjectiveValue, StepMetrics,
-    SuffixReplayEvaluator, SwapRow,
+    DeltaEvaluator, ObjectiveEvaluator, ObjectiveStepper, ObjectiveValue, StepMetrics, SwapRow,
 };
 pub use plan::QueryPlan;
 pub use query::QueryMeta;
 pub use reduce::{reduce, Density, ReduceOptions};
 pub use residual::ResidualInstance;
-pub use schedule::{DeploymentSchedule, ScheduledBuild};
 pub use slotsched::{SlotScheduleEvaluator, SlotScheduleValue};
 pub use solution::Deployment;
 pub use stats::InstanceStats;

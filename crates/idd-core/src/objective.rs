@@ -11,7 +11,7 @@
 //! effective cost of building the i-th index, i.e. its base creation cost
 //! minus the best build interaction among already-built indexes.
 //!
-//! Three evaluators, and one row kernel, are provided:
+//! Two evaluators, and one row kernel, are provided:
 //!
 //! * [`ObjectiveEvaluator`] — evaluates a [`Deployment`] from scratch in
 //!   `O(Σ_p |p| + |Q| + |I|·avg_helpers)` time and optionally produces the
@@ -25,10 +25,11 @@
 //!   `swap(lo, hi)` for every `hi` of a row, bit-identical to
 //!   [`DeltaEvaluator::evaluate_swap`], rewriting only the positions whose
 //!   runtime level or build cost the swap moves.
-//! * [`SuffixReplayEvaluator`] — the previous checkpoint-and-replay
-//!   incremental evaluator, kept as the easily-auditable reference the delta
-//!   path is differentially tested against (and as the "before" baseline of
-//!   the `table11` moves/sec benchmark).
+//!
+//! [`ObjectiveStepper`] rolls the from-scratch evaluation forward one build
+//! at a time (the deployment runtime's clock). The checkpoint-and-replay
+//! evaluator the delta path replaced is built on cloned steppers and lives
+//! in `idd-bench`, as the "before" baseline of the `table11` benchmark.
 //!
 //! # Order-canonical arithmetic
 //!
@@ -517,130 +518,6 @@ impl<'a> ObjectiveEvaluator<'a> {
     }
 }
 
-/// Checkpoint-and-replay incremental evaluator — the *reference* the delta
-/// path is differentially tested against.
-///
-/// [`SuffixReplayEvaluator::set_base`] records a full state checkpoint after
-/// every position; a move that changes the order from position `k` onward is
-/// scored by cloning the checkpoint at `k` and replaying the whole suffix.
-/// Correct by construction (it literally runs [`ObjectiveEvaluator`] steps)
-/// but `O(n · step)` per move and `O(n²)` checkpoint memory churn — which is
-/// why local search now runs on [`DeltaEvaluator`] instead. It remains the
-/// "before" baseline of the `table11` moves/sec benchmark.
-#[derive(Debug, Clone)]
-pub struct SuffixReplayEvaluator<'a> {
-    evaluator: ObjectiveEvaluator<'a>,
-    base: Deployment,
-    /// `checkpoints[k]` is the state after the first `k` indexes of `base`.
-    checkpoints: Vec<EvalState>,
-}
-
-impl<'a> SuffixReplayEvaluator<'a> {
-    /// Creates an incremental evaluator with the given base order.
-    pub fn new(instance: &'a ProblemInstance, base: Deployment) -> Self {
-        let evaluator = ObjectiveEvaluator::new(instance);
-        let mut pe = Self {
-            evaluator,
-            base: Deployment::new(Vec::new()),
-            checkpoints: Vec::new(),
-        };
-        pe.set_base(base);
-        pe
-    }
-
-    /// The underlying full evaluator.
-    pub fn evaluator(&self) -> &ObjectiveEvaluator<'a> {
-        &self.evaluator
-    }
-
-    /// The current base order.
-    pub fn base(&self) -> &Deployment {
-        &self.base
-    }
-
-    /// The objective area of the current base order.
-    pub fn base_area(&self) -> f64 {
-        self.checkpoints.last().map(EvalState::area).unwrap_or(0.0)
-    }
-
-    /// Replaces the base order and rebuilds all checkpoints.
-    pub fn set_base(&mut self, base: Deployment) {
-        let n = base.len();
-        let mut checkpoints = Vec::with_capacity(n + 1);
-        let mut state = EvalState::initial(&self.evaluator);
-        checkpoints.push(state.clone());
-        for (_, index) in base.iter() {
-            self.evaluator.apply_step(&mut state, index);
-            checkpoints.push(state.clone());
-        }
-        self.base = base;
-        self.checkpoints = checkpoints;
-    }
-
-    /// Evaluates the area of `order`, reusing the checkpoint of the longest
-    /// common prefix with the base order.
-    pub fn evaluate_order(&self, order: &Deployment) -> f64 {
-        let n = self.base.len();
-        debug_assert_eq!(order.len(), n);
-        let mut common = 0;
-        while common < n && order.at(common) == self.base.at(common) {
-            common += 1;
-        }
-        let mut state = self.checkpoints[common].clone();
-        for pos in common..n {
-            self.evaluator.apply_step(&mut state, order.at(pos));
-        }
-        state.area()
-    }
-
-    /// Evaluates the area of the base order with positions `a` and `b`
-    /// swapped, without materializing the swapped order.
-    pub fn evaluate_swap(&self, a: usize, b: usize) -> f64 {
-        if a == b {
-            return self.base_area();
-        }
-        let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-        let n = self.base.len();
-        let mut state = self.checkpoints[lo].clone();
-        for pos in lo..n {
-            let index = if pos == lo {
-                self.base.at(hi)
-            } else if pos == hi {
-                self.base.at(lo)
-            } else {
-                self.base.at(pos)
-            };
-            self.evaluator.apply_step(&mut state, index);
-        }
-        state.area()
-    }
-
-    /// Applies a swap to the base order and refreshes checkpoints from the
-    /// earlier of the two positions.
-    pub fn commit_swap(&mut self, a: usize, b: usize) {
-        if a == b {
-            return;
-        }
-        let (lo, _hi) = if a < b { (a, b) } else { (b, a) };
-        self.base.swap(a, b);
-        // Recompute checkpoints from `lo` onward.
-        let n = self.base.len();
-        self.checkpoints.truncate(lo + 1);
-        let mut state = self.checkpoints[lo].clone();
-        for pos in lo..n {
-            self.evaluator.apply_step(&mut state, self.base.at(pos));
-            self.checkpoints.push(state.clone());
-        }
-    }
-
-    /// Replaces the whole base order (alias of
-    /// [`SuffixReplayEvaluator::set_base`] kept for readability at call
-    /// sites that accept arbitrary moves).
-    pub fn commit_order(&mut self, order: Deployment) {
-        self.set_base(order);
-    }
-}
-
 /// The move being scored by [`DeltaEvaluator::span_walk`]: how to read the
 /// *new* element at an absolute position inside the rewritten span.
 enum SpanMove<'s> {
@@ -650,9 +527,6 @@ enum SpanMove<'s> {
     /// The element at `from` relocates to `to`
     /// ([`Deployment::relocate`] semantics: remove, then insert).
     Shift { from: usize, to: usize },
-    /// Positions `a + k` take `slice[k]` (a permutation of the span's
-    /// current elements) — the LNS repair-scoring shape.
-    Slice(&'s [IndexId]),
     /// Positions take the corresponding element of a full replacement
     /// order.
     Order(&'s Deployment),
@@ -662,7 +536,7 @@ impl SpanMove<'_> {
     /// The new element at absolute position `p` (which must lie inside the
     /// rewritten span `[a, b)`).
     #[inline]
-    fn elem(&self, base: &Deployment, a: usize, p: usize) -> usize {
+    fn elem(&self, base: &Deployment, p: usize) -> usize {
         match *self {
             SpanMove::Swap { lo, hi } => {
                 if p == lo {
@@ -682,7 +556,6 @@ impl SpanMove<'_> {
                     base.at(p - 1).raw() // right rotation of [to, from)
                 }
             }
-            SpanMove::Slice(slice) => slice[p - a].raw(),
             SpanMove::Order(order) => order.at(p).raw(),
         }
     }
@@ -710,8 +583,8 @@ impl SpanMove<'_> {
 /// 3. rounds the patched accumulator once.
 ///
 /// Step 2 walks exactly the positions in `[a, b)`: an adjacent swap touches
-/// two, a shift only the rotated window, an LNS repair only the destroyed
-/// span. Committing a move additionally writes the walked positions'
+/// two, a shift only the rotated window, a whole-order replacement only the
+/// window where it differs from the base. Committing a move additionally writes the walked positions'
 /// costs/runtimes back and updates plan completion positions — positions
 /// `≥ b` are never touched.
 #[derive(Debug, Clone)]
@@ -838,17 +711,6 @@ impl<'a> DeltaEvaluator<'a> {
         self.span_walk(lo, hi + 1, &SpanMove::Shift { from, to }, false, false)
     }
 
-    /// Area of the base order with positions `[a, a + span.len())` replaced
-    /// by `span` — a permutation of the elements currently there (checked in
-    /// debug builds). `O(span)`; the LNS repair-scoring entry point.
-    pub fn evaluate_span(&mut self, a: usize, span: &[IndexId]) -> f64 {
-        debug_assert!(self.span_is_permutation(a, span));
-        if span.is_empty() {
-            return self.area;
-        }
-        self.span_walk(a, a + span.len(), &SpanMove::Slice(span), false, false)
-    }
-
     /// Area of an arbitrary full `order`, walking only the positions between
     /// its longest common prefix and suffix with the base order.
     pub fn evaluate_order(&mut self, order: &Deployment) -> f64 {
@@ -881,19 +743,6 @@ impl<'a> DeltaEvaluator<'a> {
         self.area = area;
         self.base.relocate(from, to);
         self.refresh_positions(lo, hi + 1);
-    }
-
-    /// Commits a span replacement (see [`DeltaEvaluator::evaluate_span`]).
-    pub fn commit_span(&mut self, a: usize, span: &[IndexId]) {
-        debug_assert!(self.span_is_permutation(a, span));
-        if span.is_empty() {
-            return;
-        }
-        let b = a + span.len();
-        let area = self.span_walk(a, b, &SpanMove::Slice(span), true, false);
-        self.area = area;
-        self.base.replace_span(a, span);
-        self.refresh_positions(a, b);
     }
 
     /// Replaces the whole base order, walking only the differing window.
@@ -931,20 +780,6 @@ impl<'a> DeltaEvaluator<'a> {
         }
     }
 
-    #[cfg(debug_assertions)]
-    fn span_is_permutation(&self, a: usize, span: &[IndexId]) -> bool {
-        let mut old: Vec<usize> = (a..a + span.len()).map(|p| self.base.at(p).raw()).collect();
-        let mut new: Vec<usize> = span.iter().map(|i| i.raw()).collect();
-        old.sort_unstable();
-        new.sort_unstable();
-        old == new
-    }
-
-    #[cfg(not(debug_assertions))]
-    fn span_is_permutation(&self, _a: usize, _span: &[IndexId]) -> bool {
-        true
-    }
-
     /// Scores (and on `commit`, applies) the rewrite of positions `[a, b)`
     /// described by `mv`, returning the canonical area of the moved order.
     ///
@@ -967,7 +802,7 @@ impl<'a> DeltaEvaluator<'a> {
 
         // New positions of the span's elements, for prefix-membership tests.
         for p in a..b {
-            let x = mv.elem(&self.base, a, p);
+            let x = mv.elem(&self.base, p);
             self.new_pos[x] = p as u32;
             self.new_pos_stamp[x] = stamp;
         }
@@ -985,7 +820,7 @@ impl<'a> DeltaEvaluator<'a> {
         self.scratch_runtime.assign_from(&self.runtime_accs[a]);
         let mut runtime = self.runtime_at[a];
         for p in a..b {
-            let x = mv.elem(&self.base, a, p);
+            let x = mv.elem(&self.base, p);
 
             // Effective build cost against the set built before `p` — the
             // same `max` fold as `ProblemInstance::effective_build_cost`.
@@ -2077,11 +1912,12 @@ mod tests {
                     order.relocate(x, y);
                 }
                 _ => {
-                    // Reverse the span [x, y) — a Slice commit.
+                    // Reverse the span [x, y): an order commit that walks
+                    // only that window.
                     let mut span: Vec<IndexId> = (x..y).map(|p| order.at(p)).collect();
                     span.reverse();
-                    de.commit_span(x, &span);
                     order.replace_span(x, &span);
+                    de.commit_order(order.clone());
                 }
             }
             assert_eq!(de.base().order(), order.order(), "order after commit");
@@ -2126,12 +1962,24 @@ mod tests {
         let inst = delta_instance(11);
         let n = inst.num_indexes();
         let base = Deployment::identity(n);
-        let reference = SuffixReplayEvaluator::new(&inst, base.clone());
-        let mut de = DeltaEvaluator::new(&inst, base);
-        assert_eq!(reference.base_area().to_bits(), de.base_area().to_bits());
-        for a in 0..n - 1 {
+        // The reference: a stepper checkpoint per prefix of the base, and
+        // each swap replayed from the checkpoint before it.
+        let mut checkpoints = vec![ObjectiveEvaluator::new(&inst).stepper()];
+        for p in 0..n {
+            let mut next = checkpoints[p].clone();
+            next.step(base.at(p));
+            checkpoints.push(next);
+        }
+        let mut de = DeltaEvaluator::new(&inst, base.clone());
+        assert_eq!(checkpoints[n].area().to_bits(), de.base_area().to_bits());
+        for (a, checkpoint) in checkpoints.iter().enumerate().take(n - 1) {
+            let swapped = base.with_swap(a, a + 1);
+            let mut replay = checkpoint.clone();
+            (a..n).for_each(|p| {
+                replay.step(swapped.at(p));
+            });
             assert_eq!(
-                reference.evaluate_swap(a, a + 1).to_bits(),
+                replay.area().to_bits(),
                 de.evaluate_swap(a, a + 1).to_bits(),
                 "adjacent swap at {a}"
             );

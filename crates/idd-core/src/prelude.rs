@@ -12,14 +12,12 @@ pub use crate::instance::{InstanceBuilder, ProblemInstance};
 pub use crate::interaction::{BuildInteraction, Precedence};
 pub use crate::matrix::{MatrixFile, SoaView};
 pub use crate::objective::{
-    DeltaEvaluator, ObjectiveEvaluator, ObjectiveStepper, ObjectiveValue, StepMetrics,
-    SuffixReplayEvaluator, SwapRow,
+    DeltaEvaluator, ObjectiveEvaluator, ObjectiveStepper, ObjectiveValue, StepMetrics, SwapRow,
 };
 pub use crate::plan::QueryPlan;
 pub use crate::query::QueryMeta;
 pub use crate::reduce::{reduce, Density, ReduceOptions};
 pub use crate::residual::ResidualInstance;
-pub use crate::schedule::{DeploymentSchedule, ScheduledBuild};
 pub use crate::slotsched::{SlotScheduleEvaluator, SlotScheduleValue};
 pub use crate::solution::Deployment;
 pub use crate::stats::InstanceStats;

@@ -96,30 +96,36 @@ impl CpSolver {
     }
 
     /// Runs the search inside a shared [`SolveContext`] (cancellable, and
-    /// publishing every incumbent improvement).
+    /// publishing every incumbent improvement). The clock starts at entry,
+    /// so the property analysis is charged to the budget.
     pub fn solve_in(&self, instance: &ProblemInstance, shared: &SolveContext) -> SolveResult {
+        let clock = self.config.budget.start_cancellable(shared.cancel_token());
         let analysis = properties::analyze(instance, self.config.analysis);
-        self.solve_with_constraints_in(instance, &analysis.constraints, shared)
+        self.search(instance, &analysis.constraints, shared, clock)
     }
 
     /// Runs the search against an externally prepared constraint set (used by
     /// the Table-6 drill-down so the analysis cost is not re-paid per row).
+    /// The clock starts here, after the caller's analysis.
     pub fn solve_with_constraints(
         &self,
         instance: &ProblemInstance,
         constraints: &OrderConstraints,
     ) -> SolveResult {
-        self.solve_with_constraints_in(instance, constraints, &SolveContext::new())
+        let shared = SolveContext::new();
+        let clock = self.config.budget.start_cancellable(shared.cancel_token());
+        self.search(instance, constraints, &shared, clock)
     }
 
-    /// [`CpSolver::solve_with_constraints`] inside a shared context.
-    pub fn solve_with_constraints_in(
+    /// The search proper, under `constraints` and on a `clock` its caller
+    /// started.
+    fn search(
         &self,
         instance: &ProblemInstance,
         constraints: &OrderConstraints,
         shared: &SolveContext,
+        clock: BudgetClock,
     ) -> SolveResult {
-        let clock = self.config.budget.start_cancellable(shared.cancel_token());
         let mut ctx = SearchContext {
             instance,
             constraints,

@@ -14,15 +14,13 @@
 //! produced improvements in *other* members — from the portfolio's
 //! work-stealing deque before falling back to a random draw.
 
-use crate::anytime::Trajectory;
-use crate::budget::{BudgetClock, SearchBudget};
-use crate::constraints::OrderConstraints;
+use crate::budget::SearchBudget;
 use crate::exact::bounds::LowerBound;
-use crate::local::{reinsert, sanitize_hint, shift_is_feasible, Cooperator};
-use crate::properties::{self, AnalysisOptions};
-use crate::result::{SolveOutcome, SolveResult};
+use crate::local::{best_shift, random_destroy_set, sanitize_hint, Walk};
+use crate::properties::AnalysisOptions;
+use crate::result::SolveResult;
 use crate::solver::{SolveContext, Solver};
-use idd_core::{DeltaEvaluator, Deployment, IndexId, ProblemInstance};
+use idd_core::{Deployment, IndexId, ProblemInstance};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 
@@ -104,61 +102,36 @@ impl LnsSolver {
         initial: Deployment,
         ctx: &SolveContext,
     ) -> SolveResult {
-        let analysis = properties::analyze(instance, self.config.analysis);
-        let clock = self.config.budget.start_cancellable(ctx.cancel_token());
-        self.search(instance, initial, &analysis.constraints, ctx, clock)
+        self.search(instance, Some(initial), self.config.budget, ctx)
     }
 
-    /// The search proper, under `constraints` and on a `clock` its caller
-    /// started.
+    /// The search proper, from `initial` or else the greedy seed, on a
+    /// clock started at entry ([`Walk::enter`]).
     fn search(
         &self,
         instance: &ProblemInstance,
-        initial: Deployment,
-        constraints: &OrderConstraints,
+        initial: Option<Deployment>,
+        budget: SearchBudget,
         ctx: &SolveContext,
-        mut clock: BudgetClock,
     ) -> SolveResult {
         let n = instance.num_indexes();
+        let mut walk = Walk::enter(
+            instance,
+            initial,
+            budget,
+            self.config.stall_iterations,
+            self.config.analysis,
+            ctx,
+        );
         let bound = LowerBound::new(instance);
         let mut rng = ChaCha8Rng::seed_from_u64(self.config.seed);
-
-        // Canonicalizes every objective this member publishes and scores the
-        // greedy-repair insertions below.
-        let mut delta = DeltaEvaluator::new(instance, initial.clone());
-        let mut current = initial;
-        let mut current_area = delta.base_area();
-        let mut trajectory = Trajectory::new();
-        trajectory.record(clock.elapsed_seconds(), current_area);
-        ctx.publish(current_area);
-
         let relax_count =
             ((n as f64 * self.config.relax_fraction).ceil() as usize).clamp(2.min(n), n);
 
-        let stall = self
-            .config
-            .stall_iterations
-            .unwrap_or_else(|| crate::local::derived_stall_iterations(&self.config.budget));
-        let mut coop = Cooperator::new(ctx, stall);
-        let mut iterations = 0u64;
-        while !clock.exhausted() && n >= 2 {
-            iterations += 1;
-            clock.count_node();
-
-            // Cooperative warm-start: when stalled, jump to the portfolio's
-            // best deployment instead of grinding on our own local optimum.
-            if let Some(snapshot) = coop.stalled_adoption(ctx, current_area, constraints) {
-                current = Deployment::new(snapshot.order);
-                delta.set_base(current.clone());
-                // Re-derive canonically: the publisher may have computed the
-                // objective with different (naive) arithmetic.
-                current_area = delta.base_area();
-                trajectory.record(clock.elapsed_seconds(), current_area);
-            }
-
+        while walk.next(|| {}) {
             // Destroy set: prefer a stolen hint (a relaxation that recently
             // paid off in another member), else draw uniformly at random.
-            let stolen = if coop.policy().steals() {
+            let stolen = if walk.steals() {
                 ctx.hints()
                     .steal()
                     .map(|hint| sanitize_hint(hint, n))
@@ -168,130 +141,42 @@ impl LnsSolver {
             };
             let relaxed: Vec<IndexId> = match stolen {
                 Some(hint) => {
-                    coop.stats.hints_stolen += 1;
+                    walk.stats.hints_stolen += 1;
                     idd_telemetry::mark("hint-steal", format!("size={}", hint.len()));
                     hint
                 }
-                None => {
-                    let mut ids: Vec<usize> = (0..n).collect();
-                    ids.shuffle(&mut rng);
-                    ids[..relax_count]
-                        .iter()
-                        .map(|&r| IndexId::new(r))
-                        .collect()
-                }
+                None => random_destroy_set(&mut rng, n, relax_count),
             };
-            let fixed: Vec<IndexId> = current
-                .order()
-                .iter()
-                .copied()
-                .filter(|i| !relaxed.contains(i))
-                .collect();
 
-            let result = reinsert(
-                instance,
-                constraints,
-                &bound,
-                &fixed,
-                &relaxed,
-                current_area,
-                self.config.failure_limit,
-            );
-            if let Some(order) = result.order {
-                let area_before = current_area;
-                current = Deployment::new(order);
-                delta.set_base(current.clone());
-                // The reinsertion search's running sum is naive; publish the
-                // canonical evaluation instead.
-                current_area = delta.base_area();
-                debug_assert!(
-                    (result.area - current_area).abs() <= 1e-6 * current_area.abs().max(1.0),
-                    "naive reinsertion sum drifted from the canonical area"
-                );
-                trajectory.record(clock.elapsed_seconds(), current_area);
-                ctx.publish_deployment(current_area, current.order());
-                if coop.policy().steals() {
-                    // This destroy set just paid off — share it, valued at
-                    // what it paid.
-                    idd_telemetry::mark(
-                        "hint-publish",
-                        format!(
-                            "size={} gain={:.4}",
-                            relaxed.len(),
-                            area_before - current_area
-                        ),
-                    );
-                    ctx.hints().push_scored(relaxed, area_before - current_area);
-                    coop.stats.hints_published += 1;
-                }
-                coop.note_improvement();
-            } else if self.config.delta_repair && !result.proved && !clock.exhausted() {
+            let (area, proved) = walk.reinsert(&bound, &relaxed, self.config.failure_limit);
+            if let Some(area) = area {
+                walk.improved(area, relaxed);
+            } else if self.config.delta_repair && !proved && !walk.clock.exhausted() {
                 // The CP search hit its failure limit before exhausting the
                 // neighbourhood. Salvage the destroy set with a greedy
                 // repair: relocate each destroyed index to its best
                 // position, every candidate scored on the delta path.
-                delta.set_base(current.clone());
-                let mut area = current_area;
+                let mut area = walk.area;
                 for &r in &relaxed {
-                    let from = delta
+                    let from = walk
+                        .delta
                         .base()
                         .order()
                         .iter()
                         .position(|&i| i == r)
                         .expect("destroy set is drawn from the current order");
-                    let mut best: Option<(usize, f64)> = None;
-                    for to in 0..n {
-                        if to == from
-                            || !shift_is_feasible(constraints, delta.base().order(), from, to)
-                        {
-                            continue;
-                        }
-                        let candidate = delta.evaluate_shift(from, to);
-                        if candidate < area - 1e-12
-                            && best.map(|(_, v)| candidate < v).unwrap_or(true)
-                        {
-                            best = Some((to, candidate));
-                        }
-                    }
-                    if let Some((to, v)) = best {
-                        delta.commit_shift(from, to);
-                        area = v;
+                    if let Some(shifted) =
+                        best_shift(&mut walk.delta, &walk.constraints, from, 0..=n - 1, area)
+                    {
+                        area = shifted;
                     }
                 }
-                if area < current_area - 1e-12 {
-                    let gain = current_area - area;
-                    current = delta.base().clone();
-                    current_area = area;
-                    trajectory.record(clock.elapsed_seconds(), current_area);
-                    ctx.publish_deployment(current_area, current.order());
-                    if coop.policy().steals() {
-                        idd_telemetry::mark(
-                            "hint-publish",
-                            format!("size={} gain={gain:.4}", relaxed.len()),
-                        );
-                        ctx.hints().push_scored(relaxed, gain);
-                        coop.stats.hints_published += 1;
-                    }
-                    coop.note_improvement();
-                } else {
-                    coop.note_no_improvement();
+                if area < walk.area - 1e-12 {
+                    walk.improved(area, relaxed);
                 }
-            } else {
-                coop.note_no_improvement();
             }
         }
-
-        coop.emit_counters(iterations);
-        SolveResult {
-            solver: "lns".into(),
-            deployment: Some(current),
-            objective: current_area,
-            outcome: SolveOutcome::Feasible,
-            elapsed_seconds: clock.elapsed_seconds(),
-            nodes: iterations,
-            trajectory,
-            coop: coop.stats,
-        }
+        walk.finish("lns")
     }
 }
 
@@ -309,14 +194,7 @@ impl Solver for LnsSolver {
         budget: SearchBudget,
         ctx: &SolveContext,
     ) -> SolveResult {
-        // The clock starts before the seed is fetched or built, so the
-        // seed and the property analysis are charged to the budget.
-        let clock = budget.start_cancellable(ctx.cancel_token());
-        let initial = ctx.greedy_seed(instance);
-        let analysis = properties::analyze(instance, self.config.analysis);
-        let mut config = self.config.clone();
-        config.budget = budget;
-        LnsSolver::with_config(config).search(instance, initial, &analysis.constraints, ctx, clock)
+        self.search(instance, None, budget, ctx)
     }
 }
 

@@ -2,10 +2,18 @@
 //!
 //! All three start from an initial solution (normally the greedy order of
 //! Algorithm 1) and improve it within a wall-clock budget, recording the
-//! incumbent trajectory used by Figures 11–13. LNS and VNS share the
-//! CP-powered *reinsertion search* in this module: a subset of indexes is
-//! removed from the current order and optimally re-inserted by a small
-//! branch-and-prune search with a failure (backtrack) limit.
+//! incumbent trajectory used by Figures 11–13. Each drives one `Walk`:
+//! the walk enters the solver (clock first, then the greedy seed, then the
+//! property analysis, all charged to the budget), starts each iteration
+//! (adopting the portfolio's shared best when the member has stalled),
+//! takes each improvement (record, publish, share the destroy set) and
+//! builds the result. Only the move differs: tabu swaps; LNS and VNS share
+//! the CP-powered *reinsertion search* in this module (`Walk::reinsert`):
+//! a subset of indexes is removed from the current order and optimally
+//! re-inserted by a small branch-and-prune search with a failure
+//! (backtrack) limit, and both fall back on one shift probe
+//! (`best_shift`): LNS to repair a destroy set the search gave up on,
+//! VNS to polish an accepted reinsertion.
 
 pub mod lns;
 pub mod tabu;
@@ -15,13 +23,18 @@ pub use lns::{LnsConfig, LnsSolver};
 pub use tabu::{SwapStrategy, TabuConfig, TabuSolver};
 pub use vns::{VnsConfig, VnsSolver};
 
-use crate::budget::SearchBudget;
+use crate::anytime::Trajectory;
+use crate::budget::{BudgetClock, SearchBudget};
 use crate::constraints::OrderConstraints;
 use crate::exact::bounds::LowerBound;
 use crate::exact::state::SearchState;
-use crate::result::CoopStats;
+use crate::properties::{self, AnalysisOptions};
+use crate::result::{CoopStats, SolveOutcome, SolveResult};
 use crate::solver::{CooperationPolicy, IncumbentSnapshot, SolveContext};
-use idd_core::{IndexId, ProblemInstance};
+use idd_core::{DeltaEvaluator, Deployment, IndexId, ProblemInstance};
+use rand::SliceRandom;
+use rand_chacha::ChaCha8Rng;
+use std::ops::RangeInclusive;
 
 /// Derives a stall threshold (iterations without improvement before a
 /// member re-seeds from the shared best) as a *slice of the budget*, so the
@@ -47,87 +60,154 @@ pub fn derived_stall_iterations(budget: &SearchBudget) -> u64 {
     }
 }
 
-/// Shared stall-detection / warm-start machinery for the three local
-/// searches (tabu, LNS, VNS).
+/// The walk every local search drives: the member protocol of tabu, LNS
+/// and VNS in one place.
 ///
-/// Tracks iterations since the member's own last improvement; once that
-/// exceeds the configured stall threshold the member is *stalled* and (under
-/// a warm-start policy) re-seeds from the portfolio's shared best deployment
-/// instead of grinding on its own local optimum. Every decision is gated on
-/// the context's [`CooperationPolicy`], so under
-/// [`CooperationPolicy::Off`] this struct is inert and the search loops are
+/// It owns
+///
+/// * the [`DeltaEvaluator`] whose base is the walk's position. LNS and VNS
+///   only move to improvements, so for them the base is always the
+///   incumbent; tabu also takes worsening swaps and keeps the incumbent in
+///   `best`;
+/// * the incumbent (`best`) and its canonical area (`area`), the
+///   trajectory, the iteration count, the [`BudgetClock`] started at
+///   solver entry and the order constraints the walk keeps to;
+/// * stall detection and warm starts: once the member has gone
+///   `stall_iterations` iterations without improving its own incumbent it
+///   is *stalled* and (under a warm-start policy) re-seeds from the
+///   portfolio's shared best deployment instead of grinding on its own
+///   local optimum;
+/// * one [`Walk::improved`] that records, publishes, shares the destroy
+///   set that paid off and resets the stall count, and one
+///   [`Walk::finish`] that emits the end-of-run counters and builds the
+///   [`SolveResult`].
+///
+/// Every cooperative decision is gated on the context's
+/// [`CooperationPolicy`], so under [`CooperationPolicy::Off`] the walks are
 /// bit-identical to their non-cooperative selves.
-#[derive(Debug)]
-pub(crate) struct Cooperator {
+pub(crate) struct Walk<'a> {
+    ctx: &'a SolveContext,
+    /// Scores moves against the walk's position (its base).
+    pub delta: DeltaEvaluator<'a>,
+    /// The property analysis's closure: every order the walk visits
+    /// satisfies it.
+    pub constraints: OrderConstraints,
+    /// The member's incumbent.
+    best: Deployment,
+    /// The incumbent's canonical area.
+    pub area: f64,
+    /// Started at solver entry ([`Walk::enter`]).
+    pub clock: BudgetClock,
+    /// Iterations started so far.
+    pub iterations: u64,
+    trajectory: Trajectory,
     policy: CooperationPolicy,
     stall_iterations: u64,
-    since_improvement: u64,
+    /// The iteration of the last improvement or restart.
+    stall_anchor: u64,
     last_seen_epoch: u64,
-    /// Counters reported through [`SolveResult::coop`](crate::result::SolveResult).
+    /// Counters reported through [`SolveResult::coop`].
     pub stats: CoopStats,
 }
 
-impl Cooperator {
-    pub fn new(ctx: &SolveContext, stall_iterations: u64) -> Self {
+impl<'a> Walk<'a> {
+    /// The one entry shell of the local searches. It starts the clock
+    /// first, so all that follows is charged to `budget`: then the greedy
+    /// seed when no `initial` order is given ([`SolveContext::greedy_seed`]),
+    /// then the property `analysis` whose constraints the walk keeps to.
+    /// The starting order is published at once.
+    pub fn enter(
+        instance: &'a ProblemInstance,
+        initial: Option<Deployment>,
+        budget: SearchBudget,
+        stall_iterations: Option<u64>,
+        analysis: AnalysisOptions,
+        ctx: &'a SolveContext,
+    ) -> Self {
+        let clock = budget.start_cancellable(ctx.cancel_token());
+        let initial = initial.unwrap_or_else(|| ctx.greedy_seed(instance));
+        let constraints = properties::analyze(instance, analysis).constraints;
+        let delta = DeltaEvaluator::new(instance, initial.clone());
+        let area = delta.base_area();
+        let mut trajectory = Trajectory::new();
+        trajectory.record(clock.elapsed_seconds(), area);
+        ctx.publish(area);
         Self {
+            ctx,
+            delta,
+            constraints,
+            best: initial,
+            area,
+            clock,
+            iterations: 0,
+            trajectory,
             policy: ctx.cooperation(),
             // A threshold of 0 would re-seed on every iteration; clamp to 1.
-            stall_iterations: stall_iterations.max(1),
-            since_improvement: 0,
+            stall_iterations: stall_iterations
+                .unwrap_or_else(|| derived_stall_iterations(&budget))
+                .max(1),
+            stall_anchor: 0,
             last_seen_epoch: 0,
             stats: CoopStats::default(),
         }
     }
 
-    /// The policy this member runs under.
-    pub fn policy(&self) -> CooperationPolicy {
-        self.policy
+    /// Starts the next iteration, or returns `false` once the budget is
+    /// spent (or there are fewer than two indexes to reorder). A stalled
+    /// member first adopts the shared best deployment when it may and one
+    /// is strictly better ([`Walk::stalled_adoption`]): the walk and its
+    /// incumbent jump there, with the area re-derived canonically (the
+    /// publisher may have computed it with naive arithmetic), and
+    /// `on_adopt` runs (tabu clears its tabu list, which describes the
+    /// abandoned walk).
+    pub fn next(&mut self, on_adopt: impl FnOnce()) -> bool {
+        if self.clock.exhausted() || self.best.len() < 2 {
+            return false;
+        }
+        self.iterations += 1;
+        self.clock.count_node();
+        if let Some(snapshot) = self.stalled_adoption() {
+            self.best = Deployment::new(snapshot.order);
+            self.delta.set_base(self.best.clone());
+            self.area = self.delta.base_area();
+            on_adopt();
+            self.trajectory
+                .record(self.clock.elapsed_seconds(), self.area);
+        }
+        true
     }
 
-    /// The member improved its own incumbent: reset the stall counter.
-    pub fn note_improvement(&mut self) {
-        self.since_improvement = 0;
-    }
-
-    /// The member finished an iteration without improving.
-    pub fn note_no_improvement(&mut self) {
-        self.since_improvement += 1;
-    }
-
-    /// Called at the top of each search iteration. Returns a snapshot of the
-    /// shared best deployment when the member (a) is allowed to warm-start,
-    /// (b) has stalled, and (c) a *strictly better* foreign deployment that
-    /// satisfies the member's own constraint closure has been published
-    /// since it last looked. The caller must re-seed from the returned
-    /// order.
+    /// Returns a snapshot of the shared best deployment when the member (a)
+    /// is allowed to warm-start, (b) has stalled, and (c) a *strictly
+    /// better* foreign deployment that satisfies the member's own
+    /// constraint closure has been published since it last looked.
     ///
     /// Every stall event counts as a restart; only successful adoptions
     /// count as adoptions (so `adoptions <= restarts` always holds).
-    pub fn stalled_adoption(
-        &mut self,
-        ctx: &SolveContext,
-        current_area: f64,
-        constraints: &OrderConstraints,
-    ) -> Option<IncumbentSnapshot> {
-        if !self.policy.warm_starts() || self.since_improvement < self.stall_iterations {
+    fn stalled_adoption(&mut self) -> Option<IncumbentSnapshot> {
+        // Iterations finished since the anchor, this one excluded.
+        if !self.policy.warm_starts()
+            || self.iterations - 1 - self.stall_anchor < self.stall_iterations
+        {
             return None;
         }
-        self.since_improvement = 0;
+        self.stall_anchor = self.iterations - 1;
         self.stats.restarts += 1;
         idd_telemetry::mark("restart", format!("stall={}", self.stall_iterations));
         // Lock-free pre-check: nothing new published since the last look
         // (the member's own publications bump the epoch too, but they can
         // never be strictly better than its current incumbent).
-        let epoch = ctx.incumbent().epoch();
+        let epoch = self.ctx.incumbent().epoch();
         if epoch == self.last_seen_epoch {
             return None;
         }
         self.last_seen_epoch = epoch;
-        let snapshot = ctx.incumbent().best_deployment()?;
+        let snapshot = self.ctx.incumbent().best_deployment()?;
         // Only adopt orders the member's own neighbourhood machinery can
         // work with: the closure may be stronger than the instance's hard
         // precedences when property analysis is enabled.
-        if snapshot.objective < current_area - 1e-12 && constraints.is_satisfied_by(&snapshot.order)
+        if snapshot.objective < self.area - 1e-12
+            && self.constraints.is_satisfied_by(&snapshot.order)
         {
             self.stats.adoptions += 1;
             idd_telemetry::mark_epoch(
@@ -141,18 +221,133 @@ impl Cooperator {
         }
     }
 
-    /// Emits this member's end-of-run totals — the iteration count plus
+    /// `true` when the member shares and steals destroy-neighbourhood hints.
+    pub fn steals(&self) -> bool {
+        self.policy.steals()
+    }
+
+    /// The walk's position improved on the incumbent, to `area`: it becomes
+    /// the incumbent, is recorded and published, and under a stealing
+    /// policy `hint` — the destroy set that paid off — is shared, valued at
+    /// the gain. Resets the stall count.
+    pub fn improved(&mut self, area: f64, hint: Vec<IndexId>) {
+        let gain = self.area - area;
+        self.area = area;
+        self.best = self.delta.base().clone();
+        self.trajectory.record(self.clock.elapsed_seconds(), area);
+        self.ctx.publish_deployment(area, self.best.order());
+        if self.policy.steals() {
+            idd_telemetry::mark(
+                "hint-publish",
+                format!("size={} gain={gain:.4}", hint.len()),
+            );
+            self.ctx.hints().push_scored(hint, gain);
+            self.stats.hints_published += 1;
+        }
+        self.stall_anchor = self.iterations;
+    }
+
+    /// LNS and VNS's destroy–reinsert step: keeps every index outside
+    /// `relaxed` in the incumbent's relative order and asks the reinsertion
+    /// search for a strictly better completion. An improvement becomes the
+    /// walk's position, and its canonical area is returned: the incumbent
+    /// moves only with [`Walk::improved`], which the caller may polish
+    /// before. Also returns whether the neighbourhood was searched
+    /// exhaustively.
+    pub fn reinsert(
+        &mut self,
+        bound: &LowerBound,
+        relaxed: &[IndexId],
+        failure_limit: u64,
+    ) -> (Option<f64>, bool) {
+        let fixed: Vec<IndexId> = self
+            .delta
+            .base()
+            .order()
+            .iter()
+            .copied()
+            .filter(|i| !relaxed.contains(i))
+            .collect();
+        let result = reinsert(
+            self.delta.evaluator().instance(),
+            &self.constraints,
+            bound,
+            &fixed,
+            relaxed,
+            self.area,
+            failure_limit,
+        );
+        let area = result.order.map(|order| {
+            self.delta.set_base(Deployment::new(order));
+            // The reinsertion search's running sum is naive; the walk
+            // publishes the canonical evaluation instead.
+            let area = self.delta.base_area();
+            debug_assert!(
+                (result.area - area).abs() <= 1e-6 * area.abs().max(1.0),
+                "naive reinsertion sum drifted from the canonical area"
+            );
+            area
+        });
+        (area, result.proved)
+    }
+
+    /// Emits the member's end-of-run totals — the iteration count plus
     /// every [`CoopStats`] counter — onto the calling thread's telemetry
-    /// track. Called once, right before the search builds its
-    /// [`SolveResult`](crate::result::SolveResult); a no-op without an
-    /// installed recorder.
-    pub fn emit_counters(&self, iterations: u64) {
-        idd_telemetry::counter("iterations", iterations);
+    /// track (a no-op without an installed recorder) and returns the
+    /// incumbent as `solver`'s result.
+    pub fn finish(self, solver: &str) -> SolveResult {
+        idd_telemetry::counter("iterations", self.iterations);
         idd_telemetry::counter("restarts", self.stats.restarts);
         idd_telemetry::counter("adoptions", self.stats.adoptions);
         idd_telemetry::counter("hints_stolen", self.stats.hints_stolen);
         idd_telemetry::counter("hints_published", self.stats.hints_published);
+        SolveResult {
+            solver: solver.to_string(),
+            deployment: Some(self.best),
+            objective: self.area,
+            outcome: SolveOutcome::Feasible,
+            elapsed_seconds: self.clock.elapsed_seconds(),
+            nodes: self.iterations,
+            trajectory: self.trajectory,
+            coop: self.stats,
+        }
     }
+}
+
+/// `count` distinct indexes out of `n`, drawn uniformly: the random destroy
+/// set of LNS and VNS.
+pub(crate) fn random_destroy_set(rng: &mut ChaCha8Rng, n: usize, count: usize) -> Vec<IndexId> {
+    let mut ids: Vec<usize> = (0..n).collect();
+    ids.shuffle(rng);
+    ids[..count].iter().map(|&r| IndexId::new(r)).collect()
+}
+
+/// The shift probe of LNS repair and VNS polish: relocates the index at
+/// `from` to the position in `window` with the lowest area strictly below
+/// `area` that keeps the order feasible (the first such position on a
+/// tie), commits it and returns the new area; `None` (nothing committed)
+/// when no shift improves. Each probe costs `O(|from - to|)` on the delta
+/// path.
+pub(crate) fn best_shift(
+    delta: &mut DeltaEvaluator<'_>,
+    constraints: &OrderConstraints,
+    from: usize,
+    window: RangeInclusive<usize>,
+    area: f64,
+) -> Option<f64> {
+    let mut best: Option<(usize, f64)> = None;
+    for to in window {
+        if to == from || !shift_is_feasible(constraints, delta.base().order(), from, to) {
+            continue;
+        }
+        let candidate = delta.evaluate_shift(from, to);
+        if candidate < area - 1e-12 && best.is_none_or(|(_, v)| candidate < v) {
+            best = Some((to, candidate));
+        }
+    }
+    let (to, area) = best?;
+    delta.commit_shift(from, to);
+    Some(area)
 }
 
 /// Filters a stolen destroy-neighbourhood hint down to distinct, in-range

@@ -12,7 +12,8 @@
 //! # The best-swap scan
 //!
 //! An iteration's cost is the row sweep: for each `lo`, one
-//! [`DeltaEvaluator::swap_row`] scores `swap(lo, hi)` for `hi = lo + 1..n`.
+//! [`DeltaEvaluator::swap_row`](idd_core::DeltaEvaluator::swap_row) scores
+//! `swap(lo, hi)` for `hi = lo + 1..n`.
 //! A pair still walks its span `(lo, hi]`, but a position costs one level
 //! re-rounding (only where the level or the swap's runtime shift changed)
 //! and one rewritten area term instead of re-deriving every plan
@@ -43,13 +44,12 @@
 //! which refers to the abandoned walk) and publishes the index pairs of
 //! improving swaps as destroy-neighbourhood hints for LNS workers.
 
-use crate::anytime::Trajectory;
-use crate::budget::{BudgetClock, SearchBudget};
-use crate::constraints::OrderConstraints;
-use crate::local::{swap_is_feasible, Cooperator, RowFeasibility};
-use crate::result::{SolveOutcome, SolveResult};
+use crate::budget::SearchBudget;
+use crate::local::{swap_is_feasible, RowFeasibility, Walk};
+use crate::properties::AnalysisOptions;
+use crate::result::SolveResult;
 use crate::solver::{SolveContext, Solver};
-use idd_core::{DeltaEvaluator, Deployment, IndexId, ProblemInstance};
+use idd_core::{Deployment, IndexId, ProblemInstance};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 
@@ -129,82 +129,56 @@ impl TabuSolver {
         initial: Deployment,
         ctx: &SolveContext,
     ) -> SolveResult {
-        let clock = self.config.budget.start_cancellable(ctx.cancel_token());
-        self.search(instance, initial, ctx, clock)
+        self.search(instance, Some(initial), self.config.budget, ctx)
     }
 
-    /// The search proper, on a `clock` its caller started: everything
-    /// from solver entry is charged to the budget.
+    /// The search proper, from `initial` or else the greedy seed, on a
+    /// clock started at entry ([`Walk::enter`]).
     fn search(
         &self,
         instance: &ProblemInstance,
-        initial: Deployment,
+        initial: Option<Deployment>,
+        budget: SearchBudget,
         ctx: &SolveContext,
-        mut clock: BudgetClock,
     ) -> SolveResult {
         let n = instance.num_indexes();
-        let constraints = OrderConstraints::from_instance(instance);
+        // No property analysis: the hard precedences only.
+        let mut walk = Walk::enter(
+            instance,
+            initial,
+            budget,
+            self.config.stall_iterations,
+            AnalysisOptions::none(),
+            ctx,
+        );
         let mut rng = ChaCha8Rng::seed_from_u64(self.config.seed);
-
-        // Every move is scored against the delta evaluator's base: the
-        // best-swap scan through its row kernel, the first-swap scan pair by
-        // pair (an adjacent pair is O(1), a general pair O(hi - lo)).
-        let mut evaluator = DeltaEvaluator::new(instance, initial.clone());
-        let mut best_order = initial;
-        let mut best_area = evaluator.base_area();
-        let mut trajectory = Trajectory::new();
-        trajectory.record(clock.elapsed_seconds(), best_area);
-        ctx.publish(best_area);
 
         // tabu_until[i] = first iteration at which index i may move again.
         let mut tabu_until = vec![0usize; n];
-        let mut iteration = 0usize;
-
-        let name = match self.config.strategy {
-            SwapStrategy::Best => "ts-bswap",
-            SwapStrategy::First => "ts-fswap",
-        };
-
-        let stall = self
-            .config
-            .stall_iterations
-            .unwrap_or_else(|| crate::local::derived_stall_iterations(&self.config.budget));
-        let mut coop = Cooperator::new(ctx, stall);
-        while !clock.exhausted() && n >= 2 {
-            iteration += 1;
-            clock.count_node();
-
-            // Cooperative warm-start: when stalled, restart the walk from
-            // the portfolio's best deployment. The tabu list describes the
-            // abandoned walk, so it is cleared alongside.
-            if let Some(snapshot) = coop.stalled_adoption(ctx, best_area, &constraints) {
-                best_order = Deployment::new(snapshot.order);
-                evaluator.set_base(best_order.clone());
-                // Re-derive canonically: the publisher may have computed the
-                // objective with different (naive) arithmetic.
-                best_area = evaluator.base_area();
-                tabu_until.iter_mut().for_each(|t| *t = 0);
-                trajectory.record(clock.elapsed_seconds(), best_area);
-            }
-
+        while walk.next(|| tabu_until.fill(0)) {
+            let iteration = walk.iterations as usize;
             // A move is admissible unless tabu; aspiration lets a tabu move
             // through if it beats the best.
             let admissible = |ia: IndexId, ib: IndexId, area: f64| {
                 let is_tabu = tabu_until[ia.raw()] > iteration || tabu_until[ib.raw()] > iteration;
-                !(is_tabu && area >= best_area - 1e-12)
+                !(is_tabu && area >= walk.area - 1e-12)
             };
 
+            // Every move is scored against the walk's position: the
+            // best-swap scan through the row kernel, the first-swap scan
+            // pair by pair (an adjacent pair is O(1), a general pair
+            // O(hi - lo)).
             let mut chosen: Option<(usize, usize, f64)> = None;
             match self.config.strategy {
                 SwapStrategy::Best => {
                     // Row-major over (lo, hi): the same pairs in the same
                     // order as a pair list, scored by the row kernel.
-                    let order = evaluator.base().order().to_vec();
-                    let feasibility = RowFeasibility::new(&constraints, &order);
+                    let order = walk.delta.base().order().to_vec();
+                    let feasibility = RowFeasibility::new(&walk.constraints, &order);
                     'scan: for lo in 0..n - 1 {
-                        let mut row = evaluator.swap_row(lo);
+                        let mut row = walk.delta.swap_row(lo);
                         for hi in lo + 1..n {
-                            if clock.exhausted() {
+                            if walk.clock.exhausted() {
                                 break 'scan;
                             }
                             if feasibility.row_ends(&order, lo, hi) {
@@ -224,7 +198,7 @@ impl TabuSolver {
                     }
                 }
                 SwapStrategy::First => {
-                    let current_area = evaluator.base_area();
+                    let current_area = walk.delta.base_area();
                     // The shuffled scan order matters here: keep the list.
                     let mut pairs: Vec<(usize, usize)> = Vec::new();
                     for a in 0..n {
@@ -234,15 +208,15 @@ impl TabuSolver {
                     }
                     pairs.shuffle(&mut rng);
                     for &(a, b) in &pairs {
-                        if clock.exhausted() {
+                        if walk.clock.exhausted() {
                             break;
                         }
-                        let order = evaluator.base().order();
+                        let order = walk.delta.base().order();
                         let (ia, ib) = (order[a], order[b]);
-                        if !swap_is_feasible(&constraints, order, a, b) {
+                        if !swap_is_feasible(&walk.constraints, order, a, b) {
                             continue;
                         }
-                        let area = evaluator.evaluate_swap(a, b);
+                        let area = walk.delta.evaluate_swap(a, b);
                         if !admissible(ia, ib, area) {
                             continue;
                         }
@@ -261,42 +235,17 @@ impl TabuSolver {
                 Some(c) => c,
                 None => break, // every move tabu and none aspirates: stuck
             };
-            let ia = evaluator.base().order()[a];
-            let ib = evaluator.base().order()[b];
-            evaluator.commit_swap(a, b);
+            let ia = walk.delta.base().order()[a];
+            let ib = walk.delta.base().order()[b];
+            walk.delta.commit_swap(a, b);
             tabu_until[ia.raw()] = iteration + self.config.tabu_length;
             tabu_until[ib.raw()] = iteration + self.config.tabu_length;
-
-            if area < best_area - 1e-12 {
-                let gain = best_area - area;
-                best_area = area;
-                best_order = evaluator.base().clone();
-                trajectory.record(clock.elapsed_seconds(), best_area);
-                ctx.publish_deployment(best_area, best_order.order());
-                if coop.policy().steals() {
-                    // The improving pair is a natural 2-index destroy set,
-                    // valued at the improvement it just bought.
-                    idd_telemetry::mark("hint-publish", format!("size=2 gain={gain:.4}"));
-                    ctx.hints().push_scored(vec![ia, ib], gain);
-                    coop.stats.hints_published += 1;
-                }
-                coop.note_improvement();
-            } else {
-                coop.note_no_improvement();
+            if area < walk.area - 1e-12 {
+                // The improving pair is a natural 2-index destroy set.
+                walk.improved(area, vec![ia, ib]);
             }
         }
-
-        coop.emit_counters(iteration as u64);
-        SolveResult {
-            solver: name.to_string(),
-            deployment: Some(best_order),
-            objective: best_area,
-            outcome: SolveOutcome::Feasible,
-            elapsed_seconds: clock.elapsed_seconds(),
-            nodes: iteration as u64,
-            trajectory,
-            coop: coop.stats,
-        }
+        walk.finish(self.name())
     }
 }
 
@@ -317,13 +266,7 @@ impl Solver for TabuSolver {
         budget: SearchBudget,
         ctx: &SolveContext,
     ) -> SolveResult {
-        // The clock starts before the seed is fetched or built, so the
-        // seed is charged to the budget.
-        let clock = budget.start_cancellable(ctx.cancel_token());
-        let initial = ctx.greedy_seed(instance);
-        let mut config = self.config.clone();
-        config.budget = budget;
-        TabuSolver::with_config(config).search(instance, initial, ctx, clock)
+        self.search(instance, None, budget, ctx)
     }
 }
 

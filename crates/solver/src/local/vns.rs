@@ -16,15 +16,13 @@
 //! relaxation sets that produced improvements as destroy-neighbourhood hints
 //! for LNS workers to steal.
 
-use crate::anytime::Trajectory;
-use crate::budget::{BudgetClock, SearchBudget};
-use crate::constraints::OrderConstraints;
+use crate::budget::SearchBudget;
 use crate::exact::bounds::LowerBound;
-use crate::local::{reinsert, shift_is_feasible, Cooperator};
-use crate::properties::{self, AnalysisOptions};
-use crate::result::{SolveOutcome, SolveResult};
+use crate::local::{best_shift, random_destroy_set, Walk};
+use crate::properties::AnalysisOptions;
+use crate::result::SolveResult;
 use crate::solver::{SolveContext, Solver};
-use idd_core::{DeltaEvaluator, Deployment, IndexId, ProblemInstance};
+use idd_core::{Deployment, ProblemInstance};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 
@@ -120,33 +118,29 @@ impl VnsSolver {
         initial: Deployment,
         ctx: &SolveContext,
     ) -> SolveResult {
-        let analysis = properties::analyze(instance, self.config.analysis);
-        let clock = self.config.budget.start_cancellable(ctx.cancel_token());
-        self.search(instance, initial, &analysis.constraints, ctx, clock)
+        self.search(instance, Some(initial), self.config.budget, ctx)
     }
 
-    /// The search proper, under `constraints` and on a `clock` its caller
-    /// started.
+    /// The search proper, from `initial` or else the greedy seed, on a
+    /// clock started at entry ([`Walk::enter`]).
     fn search(
         &self,
         instance: &ProblemInstance,
-        initial: Deployment,
-        constraints: &OrderConstraints,
+        initial: Option<Deployment>,
+        budget: SearchBudget,
         ctx: &SolveContext,
-        mut clock: BudgetClock,
     ) -> SolveResult {
         let n = instance.num_indexes();
+        let mut walk = Walk::enter(
+            instance,
+            initial,
+            budget,
+            self.config.stall_iterations,
+            self.config.analysis,
+            ctx,
+        );
         let bound = LowerBound::new(instance);
         let mut rng = ChaCha8Rng::seed_from_u64(self.config.seed);
-
-        // The delta evaluator both canonicalizes every objective this member
-        // publishes and powers the shift-descent polish below.
-        let mut delta = DeltaEvaluator::new(instance, initial.clone());
-        let mut current = initial;
-        let mut current_area = delta.base_area();
-        let mut trajectory = Trajectory::new();
-        trajectory.record(clock.elapsed_seconds(), current_area);
-        ctx.publish(current_area);
 
         let mut relax_count =
             ((n as f64 * self.config.initial_relax_fraction).ceil() as usize).clamp(2.min(n), n);
@@ -154,124 +148,34 @@ impl VnsSolver {
         let mut proofs_in_group = 0usize;
         let mut group_progress = 0usize;
 
-        let stall = self
-            .config
-            .stall_iterations
-            .unwrap_or_else(|| crate::local::derived_stall_iterations(&self.config.budget));
-        let mut coop = Cooperator::new(ctx, stall);
-        let mut iterations = 0u64;
-        while !clock.exhausted() && n >= 2 {
-            iterations += 1;
-            clock.count_node();
-
-            // Cooperative warm-start: when stalled, jump to the portfolio's
-            // best deployment instead of grinding on our own local optimum.
-            if let Some(snapshot) = coop.stalled_adoption(ctx, current_area, constraints) {
-                current = Deployment::new(snapshot.order);
-                delta.set_base(current.clone());
-                // Re-derive canonically: the publisher may have computed the
-                // objective with different (naive) arithmetic.
-                current_area = delta.base_area();
-                trajectory.record(clock.elapsed_seconds(), current_area);
-            }
-
-            let mut ids: Vec<usize> = (0..n).collect();
-            ids.shuffle(&mut rng);
-            let relaxed: Vec<IndexId> = ids[..relax_count.min(n)]
-                .iter()
-                .map(|&r| IndexId::new(r))
-                .collect();
-            let fixed: Vec<IndexId> = current
-                .order()
-                .iter()
-                .copied()
-                .filter(|i| !relaxed.contains(i))
-                .collect();
-
-            let result = reinsert(
-                instance,
-                constraints,
-                &bound,
-                &fixed,
-                &relaxed,
-                current_area,
-                failure_limit,
-            );
-            if let Some(order) = result.order {
-                let area_before = current_area;
-                current = Deployment::new(order);
-                delta.set_base(current.clone());
-                // The reinsertion search's running sum is naive; publish the
-                // canonical evaluation instead.
-                current_area = delta.base_area();
-                debug_assert!(
-                    (result.area - current_area).abs() <= 1e-6 * current_area.abs().max(1.0),
-                    "naive reinsertion sum drifted from the canonical area"
-                );
-
+        while walk.next(|| {}) {
+            let relaxed = random_destroy_set(&mut rng, n, relax_count);
+            let (area, proved) = walk.reinsert(&bound, &relaxed, failure_limit);
+            if let Some(mut area) = area {
                 // Polish: bounded-radius shift descent on the delta path.
                 // Each probe is O(|from - to|); each commit re-anchors the
                 // evaluator at the improved order.
                 if self.config.shift_descent && self.config.shift_radius > 0 {
                     let radius = self.config.shift_radius;
                     let mut improved = true;
-                    while improved && !clock.exhausted() {
+                    while improved && !walk.clock.exhausted() {
                         improved = false;
                         for from in 0..n {
-                            let lo = from.saturating_sub(radius);
-                            let hi = (from + radius).min(n - 1);
-                            let mut best: Option<(usize, f64)> = None;
-                            for to in lo..=hi {
-                                if to == from
-                                    || !shift_is_feasible(
-                                        constraints,
-                                        delta.base().order(),
-                                        from,
-                                        to,
-                                    )
-                                {
-                                    continue;
-                                }
-                                let area = delta.evaluate_shift(from, to);
-                                if area < current_area - 1e-12
-                                    && best.map(|(_, v)| area < v).unwrap_or(true)
-                                {
-                                    best = Some((to, area));
-                                }
-                            }
-                            if let Some((to, area)) = best {
-                                delta.commit_shift(from, to);
-                                current_area = area;
+                            let window = from.saturating_sub(radius)..=(from + radius).min(n - 1);
+                            if let Some(shifted) =
+                                best_shift(&mut walk.delta, &walk.constraints, from, window, area)
+                            {
+                                area = shifted;
                                 improved = true;
                             }
                         }
                     }
-                    current = delta.base().clone();
                 }
-
-                trajectory.record(clock.elapsed_seconds(), current_area);
-                ctx.publish_deployment(current_area, current.order());
-                if coop.policy().steals() {
-                    // Feed the deque: this relaxation just paid off, so an
-                    // LNS worker on another thread may profit from it too —
-                    // valued at the improvement it produced (polish
-                    // included).
-                    idd_telemetry::mark(
-                        "hint-publish",
-                        format!(
-                            "size={} gain={:.4}",
-                            relaxed.len(),
-                            area_before - current_area
-                        ),
-                    );
-                    ctx.hints().push_scored(relaxed, area_before - current_area);
-                    coop.stats.hints_published += 1;
-                }
-                coop.note_improvement();
-            } else {
-                coop.note_no_improvement();
+                // This relaxation just paid off (polish included), so an
+                // LNS worker on another thread may profit from it too.
+                walk.improved(area, relaxed);
             }
-            if result.proved {
+            if proved {
                 proofs_in_group += 1;
             }
             group_progress += 1;
@@ -292,18 +196,7 @@ impl VnsSolver {
                 group_progress = 0;
             }
         }
-
-        coop.emit_counters(iterations);
-        SolveResult {
-            solver: "vns".into(),
-            deployment: Some(current),
-            objective: current_area,
-            outcome: SolveOutcome::Feasible,
-            elapsed_seconds: clock.elapsed_seconds(),
-            nodes: iterations,
-            trajectory,
-            coop: coop.stats,
-        }
+        walk.finish("vns")
     }
 }
 
@@ -321,14 +214,7 @@ impl Solver for VnsSolver {
         budget: SearchBudget,
         ctx: &SolveContext,
     ) -> SolveResult {
-        // The clock starts before the seed is fetched or built, so the
-        // seed and the property analysis are charged to the budget.
-        let clock = budget.start_cancellable(ctx.cancel_token());
-        let initial = ctx.greedy_seed(instance);
-        let analysis = properties::analyze(instance, self.config.analysis);
-        let mut config = self.config.clone();
-        config.budget = budget;
-        VnsSolver::with_config(config).search(instance, initial, &analysis.constraints, ctx, clock)
+        self.search(instance, None, budget, ctx)
     }
 }
 
@@ -337,7 +223,7 @@ mod tests {
     use super::*;
     use crate::greedy::GreedySolver;
     use crate::local::lns::LnsSolver;
-    use idd_core::ObjectiveEvaluator;
+    use idd_core::{IndexId, ObjectiveEvaluator};
 
     fn instance(seed: u64) -> ProblemInstance {
         let mut b = ProblemInstance::builder(format!("vns-{seed}"));
